@@ -112,7 +112,12 @@ def write_dataset(directory: str, data: Dataset) -> None:
 
 
 def read_dataset(directory: str) -> Dataset:
-    """Read a dataset directory written by ``write_dataset``."""
+    """Read a dataset directory written by ``write_dataset``.
+
+    Every field must match the manifest's grid and be finite, and every
+    frequency must share frequency 0's boundary traces (the driving data);
+    a ValueError naming the offending file is raised otherwise.
+    """
     cp = configparser.ConfigParser()
     manifest = os.path.join(directory, "manifest.cfg")
     if not cp.read(manifest, encoding="utf-8"):
@@ -129,9 +134,18 @@ def read_dataset(directory: str) -> Dataset:
     metadata = dict(cp["meta"]) if cp.has_section("meta") else {}
     potentials = []
     for k in range(nodes.size):
-        u1, _ = read_field(os.path.join(directory, f"u_{k:03d}_c1"))
-        u2, _ = read_field(os.path.join(directory, f"u_{k:03d}_c2"))
-        potentials.append(PotentialPair(u1, u2))
+        pair = []
+        for c in (1, 2):
+            base = os.path.join(directory, f"u_{k:03d}_c{c}")
+            u, _ = read_field(base)
+            if u.shape != grid.shape:
+                raise ValueError(f"{base}.meta: n = {u.shape[0]} differs from the manifest's n = {grid.n}")
+            if not np.all(np.isfinite(u)):
+                raise ValueError(f"{base}.f64: non-finite values")
+            if k > 0 and not np.array_equal(grid.trace(u), grid.trace(potentials[0].components[c - 1])):
+                raise ValueError(f"{base}.f64: boundary trace differs from frequency 0's")
+            pair.append(u)
+        potentials.append(PotentialPair(*pair))
     return Dataset(grid=grid, freqs=freqs, potentials=potentials, metadata=metadata)
 
 

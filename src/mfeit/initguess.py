@@ -72,13 +72,9 @@ def fold_imag(gamma: np.ndarray) -> tuple[np.ndarray, int]:
     return gamma.real + 1j * im, violations
 
 
-def _gamma_once(
-    grid: Grid, u_omega: PotentialPair, omega: float, sigma0: float, eps0: float, tol: float
-) -> tuple[np.ndarray, int]:
-    rhs = gamma_rhs(grid, u_omega, tol)
-    bc_value = cmath.log(sigma0 + 1j * omega * eps0)
-    bc = np.full(len(grid.boundary_index), bc_value, dtype=complex)
-    return fold_imag(solve_poisson(grid, rhs, bc))
+def _log_bc(grid: Grid, omega: float, sigma0: float, eps0: float) -> np.ndarray:
+    """Boundary values of the log-admittivity: the background's logarithm."""
+    return np.full(len(grid.boundary_index), cmath.log(sigma0 + 1j * omega * eps0), dtype=complex)
 
 
 def _warn_branch(violations: int, omega: float) -> None:
@@ -99,7 +95,8 @@ def solve_gamma(
     tol: float = DEFAULT_PINV_TOL,
 ) -> np.ndarray:
     """Log-admittivity field at one frequency from the measured pair."""
-    gamma, violations = _gamma_once(grid, u_omega, omega, sigma0, eps0, tol)
+    gamma = solve_poisson(grid, gamma_rhs(grid, u_omega, tol), _log_bc(grid, omega, sigma0, eps0))
+    gamma, violations = fold_imag(gamma)
     _warn_branch(violations, omega)
     return gamma
 
@@ -114,17 +111,18 @@ class GammaField:
 
 
 def compute_gammas(data: Dataset, sigma0: float, eps0: float, tol: float = DEFAULT_PINV_TOL) -> GammaField:
+    """Log-admittivity at every frequency: one Poisson factorization, one column per frequency."""
     grid = data.grid
-
-    def one(k: int):
-        omega = float(data.freqs.nodes[k])
-        return _gamma_once(grid, data.potentials[k], omega, sigma0, eps0, tol)
-
-    results = map_frequencies(one, range(data.freqs.nodes.size))
-    gammas = [g for g, _ in results]
-    violations = [v for _, v in results]
-    for omega, v in zip(data.freqs.nodes, violations):
-        _warn_branch(v, float(omega))
+    omegas = [float(w) for w in data.freqs.nodes]
+    rhs = map_frequencies(lambda u: gamma_rhs(grid, u, tol), data.potentials)
+    bc = np.stack([_log_bc(grid, w, sigma0, eps0) for w in omegas], axis=-1)
+    solved = solve_poisson(grid, np.stack(rhs, axis=-1), bc)
+    gammas, violations = [], []
+    for k, omega in enumerate(omegas):
+        gamma, v = fold_imag(solved[..., k])
+        _warn_branch(v, omega)
+        gammas.append(gamma)
+        violations.append(v)
     return GammaField(omegas=data.freqs.nodes.copy(), gammas=gammas, fold_violations=violations)
 
 

@@ -202,10 +202,9 @@ def dF_op(
     """Linearized forward map in direction (h, k), reusing a factorization."""
     grid = op.grid
     delta = h + 1j * omega * k
-    zero = np.zeros(len(grid.boundary_index))
-    v1 = solve_dirichlet(op, zero, -apply_div_coeff_grad(grid, delta, u.u1))
-    v2 = solve_dirichlet(op, zero, -apply_div_coeff_grad(grid, delta, u.u2))
-    return PotentialPair(v1, v2)
+    zero = np.zeros((len(grid.boundary_index), 2))
+    src = np.stack([-apply_div_coeff_grad(grid, delta, uc) for uc in u.components], axis=-1)
+    return PotentialPair.from_columns(solve_dirichlet(op, zero, src))
 
 
 def dF(

@@ -3,10 +3,18 @@
 Everything here discretizes ``div((sigma + i*omega*eps) * grad(u))`` with a
 conservative 5-point scheme: the coefficient on each cell face is the
 arithmetic mean of the two adjacent nodal values, and boundary nodes carry
-identity rows.  One sparse LU factorization per (coefficient, frequency)
-pair is cached on the operator and shared by every right-hand side,
-including the adjoint problem, whose matrix is the same because the
-assembled operator is complex-symmetric rather than Hermitian.
+identity rows in the assembled matrix.
+
+Solves factor only the interior block (Dirichlet rows and columns removed)
+with SuperLU under a minimum-degree ordering of ``A^T + A``, which roughly
+halves the fill of factoring the full system.  One factorization per
+(coefficient, frequency) pair is cached on the operator and shared by every
+right-hand side, including the adjoint problem, whose matrix is the same
+because the assembled operator is complex-symmetric rather than Hermitian.
+``solve_dirichlet`` takes one or several columns at once; the two trace
+components of a forward, adjoint or linearized solve go through it as one
+2-column right-hand side.  Every column must meet the ``SOLVE_RTOL``
+backward-error gate against the full assembled matrix.
 """
 
 from __future__ import annotations
@@ -93,13 +101,19 @@ class PotentialPair:
     def components(self) -> tuple[np.ndarray, np.ndarray]:
         return (self.u1, self.u2)
 
+    @classmethod
+    def from_columns(cls, x: np.ndarray) -> "PotentialPair":
+        """Split a 2-column solution of shape (n, n, 2) into contiguous components."""
+        u1, u2 = np.moveaxis(x, -1, 0).copy()
+        return cls(u1, u2)
+
     def copy(self) -> "PotentialPair":
         return PotentialPair(self.u1.copy(), self.u2.copy())
 
 
 @dataclass
 class EllipticOperator:
-    """Assembled sparse operator with a lazily cached LU factorization."""
+    """Assembled sparse operator with a lazily cached interior-block LU factorization."""
 
     grid: Grid
     omega: float
@@ -107,10 +121,18 @@ class EllipticOperator:
     _lu: object = field(default=None, repr=False)
     _norm: float = field(default=0.0, repr=False)
 
+    @property
+    def unknowns(self) -> np.ndarray:
+        """Flat indices of the non-boundary nodes, the unknowns of the factored block."""
+        return np.flatnonzero(~self.grid.boundary_mask.reshape(-1))
+
     def factorization(self):
+        """SuperLU factors of the interior block, ordered by minimum degree on A^T + A."""
         if self._lu is None:
+            inner = self.unknowns
+            block = self.matrix[:, inner][inner, :].tocsc()
             try:
-                self._lu = spla.splu(self.matrix)
+                self._lu = spla.splu(block, permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:  # singular or breakdown
                 raise SolverError(f"sparse factorization failed: {exc}") from exc
         return self._lu
@@ -201,55 +223,62 @@ def solve_dirichlet(
 ) -> np.ndarray:
     """Solve the assembled system with boundary values ``bc`` and source ``src``.
 
-    ``bc`` is indexed like ``grid.boundary_index``; ``src`` is a nodal field
-    whose values on the boundary ring are ignored.  The solution reproduces
-    ``bc`` exactly (identity rows) and satisfies the discrete equation with
-    normwise relative residual ``|Ax-b| / (|A| |x| + |b|)`` below
-    SOLVE_RTOL; one iterative-refinement sweep is attempted before a
-    SolverError reports the residual that was achieved.
+    ``bc`` is indexed like ``grid.boundary_index``, either one column of
+    shape (nb,) or m columns of shape (nb, m); ``src`` is a nodal field of
+    shape (n, n) or (n, n, m) whose values on the boundary ring are ignored.
+    The result has shape (n, n) or (n, n, m) accordingly.  It reproduces
+    ``bc`` exactly and, column by column, satisfies the full assembled
+    system with normwise relative residual ``|Ax-b| / (|A| |x| + |b|)``
+    below SOLVE_RTOL.  Only the interior unknowns are factored; the
+    boundary values enter through the residual against ``op.matrix``.  One
+    refinement sweep always runs and a second runs if some column misses
+    the tolerance, before a SolverError reports the worst column's residual.
     """
     grid = op.grid
-    b = np.zeros(grid.num_nodes, dtype=complex)
+    bc = np.asarray(bc, dtype=complex)
+    b = np.zeros((grid.num_nodes,) + bc.shape[1:], dtype=complex)
     if src is not None:
-        b[:] = np.asarray(src, dtype=complex).reshape(-1)
-    b[grid.boundary_index] = np.asarray(bc, dtype=complex)
+        b[:] = np.asarray(src, dtype=complex).reshape(b.shape)
+    b[grid.boundary_index] = bc
     if not np.all(np.isfinite(b)):
         raise ValueError("non-finite right-hand side")
 
     lu = op.factorization()
-    norm_b = np.linalg.norm(b)
+    inner = op.unknowns
+    norm_b = np.linalg.norm(b, axis=0)
 
     def backward_error(x, r):
-        scale = op.norm_inf() * np.linalg.norm(x) + norm_b
-        return np.linalg.norm(r) / max(scale, 1e-300)
+        scale = op.norm_inf() * np.linalg.norm(x, axis=0) + norm_b
+        return float(np.max(np.linalg.norm(r, axis=0) / np.maximum(scale, 1e-300)))
 
+    def sweep(x):
+        # Boundary rows of the residual vanish exactly (identity rows), so
+        # only interior values are corrected and the boundary stays exact.
+        r = b - op.matrix @ x
+        x[inner] += lu.solve(r[inner])
+
+    x = np.zeros_like(b)
+    x[grid.boundary_index] = bc
+    sweep(x)
     # One iterative-refinement sweep is always applied: it is cheap next to
     # the factorization and pushes the solution error to O(cond * machine),
     # which several scale-invariance contracts downstream rely on.
-    x = lu.solve(b)
-    r = b - op.matrix @ x
-    x = x + lu.solve(r)
-    r = b - op.matrix @ x
-    residual = backward_error(x, r)
+    sweep(x)
+    residual = backward_error(x, b - op.matrix @ x)
     if not np.isfinite(residual) or residual > SOLVE_RTOL:
-        x = x + lu.solve(r)
-        r = b - op.matrix @ x
-        residual = backward_error(x, r)
+        sweep(x)
+        residual = backward_error(x, b - op.matrix @ x)
         if not np.isfinite(residual) or residual > SOLVE_RTOL:
             raise SolverError(
                 f"linear solve residual {residual:.3e} exceeds tolerance {SOLVE_RTOL:.1e}",
                 residual=residual,
             )
-    x = x.reshape(grid.shape)
-    x.reshape(-1)[grid.boundary_index] = np.asarray(bc, dtype=complex)
-    return x
+    return x.reshape(grid.shape + bc.shape[1:])
 
 
 def solve_forward_op(op: EllipticOperator, phi: BoundaryData) -> PotentialPair:
     """Homogeneous-interior forward solve for both trace components."""
-    u1 = solve_dirichlet(op, phi.phi1)
-    u2 = solve_dirichlet(op, phi.phi2)
-    return PotentialPair(u1, u2)
+    return PotentialPair.from_columns(solve_dirichlet(op, np.stack(phi.components, axis=-1)))
 
 
 def solve_forward(a: AdmittivityField, omega: float, phi: BoundaryData) -> PotentialPair:
@@ -271,7 +300,6 @@ def adjoint_rhs(grid: Grid, f: np.ndarray) -> np.ndarray:
 def solve_adjoint_op(op: EllipticOperator, f_res: PotentialPair) -> PotentialPair:
     """Adjoint solve sharing the forward factorization (same complex-symmetric matrix)."""
     grid = op.grid
-    zero = np.zeros(len(grid.boundary_index))
     for comp in f_res.components:
         bmax = float(np.max(np.abs(grid.trace(comp)))) if grid.boundary_index.size else 0.0
         if bmax > 1e-12:
@@ -279,9 +307,9 @@ def solve_adjoint_op(op: EllipticOperator, f_res: PotentialPair) -> PotentialPai
                 f"residual has boundary magnitude {bmax:.3e}; "
                 "data and reconstruction grids are inconsistent"
             )
-    p1 = solve_dirichlet(op, zero, adjoint_rhs(grid, f_res.u1))
-    p2 = solve_dirichlet(op, zero, adjoint_rhs(grid, f_res.u2))
-    return PotentialPair(p1, p2)
+    zero = np.zeros((len(grid.boundary_index), 2))
+    src = np.stack([adjoint_rhs(grid, comp) for comp in f_res.components], axis=-1)
+    return PotentialPair.from_columns(solve_dirichlet(op, zero, src))
 
 
 def solve_adjoint(a: AdmittivityField, omega: float, f_res: PotentialPair) -> PotentialPair:
@@ -290,6 +318,10 @@ def solve_adjoint(a: AdmittivityField, omega: float, f_res: PotentialPair) -> Po
 
 
 def solve_poisson(grid: Grid, rhs: np.ndarray, bc: np.ndarray) -> np.ndarray:
-    """Dirichlet Poisson solve: unit coefficient, zero frequency."""
+    """Dirichlet Poisson solve: unit coefficient, zero frequency.
+
+    Takes one or several columns like ``solve_dirichlet``; all columns share
+    one factorization.
+    """
     op = assemble(constant_field(grid, 1.0, 1.0), 0.0)
     return solve_dirichlet(op, bc, rhs)

@@ -148,6 +148,50 @@ class TestFieldIO:
                 assert fa.read() == fb.read(), name
 
 
+
+class TestDatasetValidation:
+    """Malformed datasets are rejected where they are read, naming the file (exit 2)."""
+
+    @pytest.fixture()
+    def dataset(self, tmp_path):
+        cfg = RunConfig(n=17, c0=0.2, n_freq=2, refinement=1, phantom=ONE_BUMP,
+                        output_dir=str(tmp_path / "out"))
+        path = tmp_path / "run.cfg"
+        path.write_text(serialize_config(cfg))
+        assert main(["simulate", "--config", str(path)]) == 0
+        return str(path), str(tmp_path / "out" / "dataset")
+
+    def _rejects(self, path, data_dir, name, capsys):
+        with pytest.raises(ValueError, match=name):
+            read_dataset(data_dir)
+        capsys.readouterr()
+        assert main(["init-guess", "--config", path, "--data", data_dir]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and name in err
+
+    def test_field_grid_differs_from_manifest(self, dataset, capsys):
+        path, data_dir = dataset
+        g = build_grid(9, 0.2)
+        write_field(os.path.join(data_dir, "u_001_c1"), g.X.astype(complex), g)
+        self._rejects(path, data_dir, "u_001_c1", capsys)
+
+    def test_non_finite_values(self, dataset, capsys):
+        path, data_dir = dataset
+        base = os.path.join(data_dir, "u_000_c2")
+        u, _ = read_field(base)
+        u[8, 8] = np.nan
+        write_field(base, u, build_grid(17, 0.2))
+        self._rejects(path, data_dir, "u_000_c2", capsys)
+
+    def test_boundary_traces_differ_between_frequencies(self, dataset, capsys):
+        path, data_dir = dataset
+        base = os.path.join(data_dir, "u_001_c2")
+        u, _ = read_field(base)
+        u[0, 5] += 0.01
+        write_field(base, u, build_grid(17, 0.2))
+        self._rejects(path, data_dir, "u_001_c2", capsys)
+
+
 class TestConfig:
     def test_roundtrip_identity(self):
         cfg = RunConfig(

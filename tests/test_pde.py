@@ -242,3 +242,38 @@ def test_complex_symmetric_pairing(smooth_field33):
     rhs = np.sum(f1.reshape(-1) * af2)
     scale = max(abs(lhs), abs(rhs), 1.0)
     assert abs(lhs - rhs) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_multi_column_solve_matches_column_by_column(smooth_field33, m):
+    a = smooth_field33
+    g = a.grid
+    op = assemble(a, 1.5)
+    rng = np.random.default_rng(m)
+    nb = len(g.boundary_index)
+    bc = rng.standard_normal((nb, m)) + 1j * rng.standard_normal((nb, m))
+    src = rng.standard_normal(g.shape + (m,)) + 1j * rng.standard_normal(g.shape + (m,))
+    u = solve_dirichlet(op, bc, src)
+    assert u.shape == g.shape + (m,)
+    for c in range(m):
+        ref = solve_dirichlet(op, bc[:, c], src[..., c])
+        assert np.max(np.abs(u[..., c] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(g.trace(u[..., c]), bc[:, c])
+
+
+def test_multi_column_solve_reports_worst_residual(grid17, monkeypatch):
+    import mfeit.pde as pde
+
+    g = grid17
+    op = assemble(constant_field(g, 1.0, 1.0), 1.2)
+    bc = np.stack([g.trace(g.X), g.trace(g.Y)], axis=-1).astype(complex)
+    monkeypatch.setattr(pde, "SOLVE_RTOL", -1.0)  # negative: not even an exact solve meets it
+    with pytest.raises(pde.SolverError) as info:
+        solve_dirichlet(op, bc)
+    assert np.isfinite(info.value.residual)
+
+
+def test_factorization_covers_interior_unknowns_only(grid17):
+    op = assemble(constant_field(grid17, 1.0, 1.0), 1.0)
+    n = grid17.n
+    assert op.factorization().shape == ((n - 2) ** 2, (n - 2) ** 2)
