@@ -23,7 +23,6 @@ from .objective import (
     dF,
     gradient_DJ,
     misfit_J,
-    residual_F,
 )
 from .landweber import (
     GenericProblem,
@@ -33,7 +32,7 @@ from .landweber import (
     run,
     step,
 )
-from .initguess import GammaField, gamma_rhs, initial_guess, pinv2x2, solve_gamma
+from .initguess import GammaField, gamma_rhs, initial_guess, pinv2x2
 from .phantom import Inclusion, PhantomSpec, add_noise, make_phantom, synthesize_data
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 

@@ -60,6 +60,8 @@ def read_field(base: str) -> tuple[np.ndarray, dict]:
                 continue
             key, _, value = line.partition("=")
             meta[key.strip()] = value.strip()
+    if "n" not in meta:
+        raise ValueError(f"{base}.meta: no 'n' line")
     n = int(meta["n"])
     raw = np.fromfile(base + ".f64", dtype="<f8")
     if meta.get("kind") == "complex":
@@ -114,23 +116,27 @@ def write_dataset(directory: str, data: Dataset) -> None:
 def read_dataset(directory: str) -> Dataset:
     """Read a dataset directory written by ``write_dataset``.
 
-    Every field must match the manifest's grid and be finite, and every
-    frequency must share frequency 0's boundary traces (the driving data);
-    a ValueError naming the offending file is raised otherwise.
+    The manifest must be complete, every field must match its grid and be
+    finite, and every frequency must share frequency 0's boundary traces
+    (the driving data); a ValueError naming the offending file is raised
+    otherwise.
     """
     cp = configparser.ConfigParser()
     manifest = os.path.join(directory, "manifest.cfg")
     if not cp.read(manifest, encoding="utf-8"):
         raise FileNotFoundError(f"no dataset manifest at {manifest}")
-    grid = build_grid(cp.getint("grid", "n"), cp.getfloat("grid", "c0"))
-    nodes = np.array([float(v) for v in cp.get("frequencies", "nodes").split()])
-    weights = np.array([float(v) for v in cp.get("frequencies", "weights").split()])
-    freqs = FrequencyGrid(
-        cp.getfloat("frequencies", "omega_lo"),
-        cp.getfloat("frequencies", "omega_hi"),
-        nodes,
-        weights,
-    )
+    try:
+        grid = build_grid(cp.getint("grid", "n"), cp.getfloat("grid", "c0"))
+        nodes = np.array([float(v) for v in cp.get("frequencies", "nodes").split()])
+        weights = np.array([float(v) for v in cp.get("frequencies", "weights").split()])
+        freqs = FrequencyGrid(
+            cp.getfloat("frequencies", "omega_lo"),
+            cp.getfloat("frequencies", "omega_hi"),
+            nodes,
+            weights,
+        )
+    except (configparser.Error, ValueError) as exc:
+        raise ValueError(f"{manifest}: {exc}") from exc
     metadata = dict(cp["meta"]) if cp.has_section("meta") else {}
     potentials = []
     for k in range(nodes.size):

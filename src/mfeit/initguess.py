@@ -86,21 +86,6 @@ def _warn_branch(violations: int, omega: float) -> None:
         )
 
 
-def solve_gamma(
-    grid: Grid,
-    u_omega: PotentialPair,
-    omega: float,
-    sigma0: float,
-    eps0: float,
-    tol: float = DEFAULT_PINV_TOL,
-) -> np.ndarray:
-    """Log-admittivity field at one frequency from the measured pair."""
-    gamma = solve_poisson(grid, gamma_rhs(grid, u_omega, tol), _log_bc(grid, omega, sigma0, eps0))
-    gamma, violations = fold_imag(gamma)
-    _warn_branch(violations, omega)
-    return gamma
-
-
 @dataclass
 class GammaField:
     """Per-frequency log-admittivity solutions with branch diagnostics."""

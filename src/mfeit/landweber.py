@@ -1,15 +1,18 @@
-"""Projected Landweber iteration, PDE-specific and as a generic engine.
+"""Projected Landweber iteration: one loop over an abstract residual problem.
 
-One step projects the incoming iterate, evaluates the misfit gradient at
-the projected point, and takes a raw gradient step; the projection of the
-new iterate happens at the start of the *next* step, so raw iterates may
-transiently leave the admissible set.  The deviation introduced by the
-projection is recorded at every step.
+``generic_run`` is the only loop and ``step`` the only iteration.  A step
+projects the incoming iterate, evaluates the residuals and the adjoint
+direction at the projected point, and takes a raw gradient step; the
+projection of the new iterate happens at the start of the *next* step, so
+raw iterates may transiently leave the admissible set.  The deviation
+introduced by the projection is recorded at every step.
 
-The generic engine runs the same loop against an abstract problem
-(residual evaluation, adjoint-direction, projection, inner product), which
-is how the iteration is validated against a dense linear least-squares
-oracle.
+The loop sees only a ``GenericProblem`` (residual evaluation, adjoint
+direction, projection, inner products).  ``run`` is the reconstruction
+entry point: it resolves the automatic step size and runs the loop on
+``admittivity_problem``, the multi-frequency misfit posed on stacked
+(sigma, eps) arrays.  The same loop is validated against a dense linear
+least-squares oracle.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .objective import (
     forward_states,
     gauss_newton_apply,
     gradient_from_states,
-    misfit_from_states,
     random_smooth_pair,
+    residual_norm_sq,
 )
 from .pde import AdmittivityField, SolverError
 
@@ -80,35 +83,22 @@ class IterationRecord:
     proj_dev: float
 
 
-def pair_distance(a: AdmittivityField, b: AdmittivityField) -> float:
-    """L2 distance between two admittivity fields over both components."""
-    grid = a.grid
-    return math.sqrt(l2_norm_sq(grid, a.sigma - b.sigma) + l2_norm_sq(grid, a.eps - b.eps))
-
-
-def estimate_step_size(
-    x0: AdmittivityField,
-    data: Dataset,
-    params: AdmissibleParams,
-    iters: int = 8,
-    seed: int = 0,
-    safety: float = 0.9,
-) -> float:
+def estimate_step_size(x0: AdmittivityField, data: Dataset, params: AdmissibleParams) -> float:
     """Step size from a power-iteration estimate of the squared derivative norm.
 
-    Iterates the frequency-summed normal operator on a random interior
-    direction and returns ``safety / L`` for the Rayleigh quotient L at the
-    last iterate.
+    Iterates the frequency-summed normal operator 8 times on a random
+    interior direction (seed 0) and returns ``0.9 / L`` for the Rayleigh
+    quotient L at the last iterate.
     """
     a = project_T(x0, params)
     grid = a.grid
     states = forward_states(a, data)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     h, k = random_smooth_pair(grid, rng)
     nrm = math.sqrt(l2_norm_sq(grid, h) + l2_norm_sq(grid, k))
     h, k = h / nrm, k / nrm
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(8):
         nd = gauss_newton_apply(grid, states, h, k)
         lam = directional_derivative(grid, nd, h, k)
         nrm = math.sqrt(l2_norm_sq(grid, nd.g_sigma) + l2_norm_sq(grid, nd.g_eps))
@@ -117,118 +107,7 @@ def estimate_step_size(
         h, k = nd.g_sigma / nrm, nd.g_eps / nrm
     if lam <= 0.0:
         raise SolverError("power iteration failed to produce a positive norm estimate")
-    return safety / lam
-
-
-def step(
-    x: AdmittivityField,
-    data: Dataset,
-    cfg: LandweberConfig,
-    truth: AdmittivityField | None = None,
-) -> tuple[AdmittivityField, IterationRecord]:
-    """One projected Landweber step from the raw iterate ``x``.
-
-    Returns the raw next iterate (projection happens at the start of the
-    following step) plus the diagnostics record.  Solver failures propagate
-    and leave ``x`` untouched.
-    """
-    if cfg.mu is None:
-        raise ValueError("step requires a resolved step size; use run() or set cfg.mu")
-    grid = x.grid
-    a = project_T(x, cfg.admissible)
-    proj_dev = pair_distance(a, x)
-    states = forward_states(a, data)
-    j_val = misfit_from_states(grid, states)
-    g = gradient_from_states(grid, states)
-    x_next = AdmittivityField(grid, a.sigma - cfg.mu * g.g_sigma, a.eps - cfg.mu * g.g_eps)
-    err = pair_distance(x_next, truth) if truth is not None else float("nan")
-    rec = IterationRecord(n=0, J=j_val, grad_norm=g.norm(grid), err_to_truth=err, proj_dev=proj_dev)
-    return x_next, rec
-
-
-def _plateau_reached(j_values: list[float], stop_tol: float) -> bool:
-    if stop_tol <= 0.0 or len(j_values) <= PLATEAU_WINDOW:
-        return False
-    j_old = j_values[-1 - PLATEAU_WINDOW]
-    j_new = j_values[-1]
-    if j_old <= 0.0:
-        return True
-    return (j_old - j_new) < stop_tol * j_old
-
-
-def run(
-    x0: AdmittivityField,
-    data: Dataset,
-    cfg: LandweberConfig,
-    truth: AdmittivityField | None = None,
-) -> tuple[AdmittivityField, list[IterationRecord]]:
-    """Iterate until ``max_iters`` or a misfit plateau over a 10-step window.
-
-    Returns the projection of the final iterate together with the full
-    trajectory.  On solver failure the partial trajectory is attached to
-    the raised error.
-    """
-    if cfg.mu is None:
-        mu = estimate_step_size(x0, data, cfg.admissible)
-        logger.info("auto step size mu=%.4e", mu)
-        cfg = dataclasses.replace(cfg, mu=mu)
-    records: list[IterationRecord] = []
-    j_values: list[float] = []
-    x = x0
-    try:
-        for it in range(1, cfg.max_iters + 1):
-            x, rec = step(x, data, cfg, truth=truth)
-            rec.n = it
-            records.append(rec)
-            j_values.append(rec.J)
-            if cfg.log_every and it % cfg.log_every == 0:
-                logger.info(
-                    "iter %4d  J=%.6e  |g|=%.3e  proj_dev=%.3e", it, rec.J, rec.grad_norm, rec.proj_dev
-                )
-            if cfg.discrepancy_floor is not None and rec.J <= cfg.discrepancy_tau * cfg.discrepancy_floor:
-                logger.info("discrepancy stop at iteration %d", it)
-                break
-            if _plateau_reached(j_values, cfg.stop_tol):
-                logger.info("misfit plateau stop at iteration %d", it)
-                break
-    except SolverError as exc:
-        exc.trajectory = records
-        raise
-    return project_T(x, cfg.admissible), records
-
-
-def find_mu_safe(
-    x0: AdmittivityField,
-    data: Dataset,
-    cfg: LandweberConfig,
-    mu_start: float,
-    n_check: int = 5,
-    max_doublings: int = 12,
-) -> float:
-    """Largest tested step size whose first ``n_check`` misfit values are non-increasing.
-
-    Doubles from ``mu_start`` until a violation appears and returns the last
-    safe value.
-    """
-    mu = mu_start
-    safe = None
-    for _ in range(max_doublings):
-        trial = LandweberConfig(
-            admissible=cfg.admissible, mu=mu, max_iters=n_check, stop_tol=0.0, log_every=0
-        )
-        _, recs = run(x0, data, trial)
-        js = [r.J for r in recs]
-        if all(b <= a * (1.0 + 1e-12) for a, b in zip(js, js[1:])):
-            safe = mu
-            mu *= 2.0
-        else:
-            break
-    if safe is None:
-        raise SolverError(f"no monotone step size found at or above {mu_start:.3e}")
-    return safe
-
-
-# --- generic engine -------------------------------------------------------
+    return 0.9 / lam
 
 
 def _default_inner(a, b) -> float:
@@ -237,14 +116,16 @@ def _default_inner(a, b) -> float:
 
 @dataclass
 class GenericProblem:
-    """Abstract residual problem driven by the same projected iteration.
+    """Abstract residual problem driven by the projected iteration.
 
     ``residuals(x)`` returns one residual per quadrature node,
     ``adjoint_step(x, residuals)`` the weighted adjoint-direction sum
     (already including quadrature weights), ``project`` the feasibility
-    map, and the inner products define the norms used in the diagnostics.
-    ``derivative(x, h)``, when provided, enables adjoint-consistency
-    probing.
+    map, and the inner products define the norms used in the misfit and the
+    diagnostics.  ``norm_sq_y(r)``, when provided, is the squared residual
+    norm of the misfit in place of ``inner_y(r, r)``, for residual objects
+    whose norm has a formula of its own.  ``derivative(x, h)``, when
+    provided, enables adjoint-consistency probing.
     """
 
     residuals: Callable[[Any], list[Any]]
@@ -253,20 +134,71 @@ class GenericProblem:
     project: Callable[[Any], Any] = lambda x: x
     inner_x: Callable[[Any, Any], float] = _default_inner
     inner_y: Callable[[Any, Any], float] = _default_inner
+    norm_sq_y: Callable[[Any], float] | None = None
     derivative: Callable[[Any, Any], list[Any]] | None = None
 
-    def misfit(self, x) -> float:
-        res = self.residuals(x)
-        return 0.5 * sum(float(w) * self.inner_y(r, r) for w, r in zip(self.weights, res))
+
+def stack_field(a: AdmittivityField) -> np.ndarray:
+    """The (sigma, eps) pair as one array of shape (2, n, n)."""
+    return np.stack((a.sigma, a.eps))
 
 
-def adjoint_mismatch(p: GenericProblem, x, h, ys: list[Any]) -> float:
-    """|sum_w <DF(h), y>_Y - <h, adjoint_step(ys)>_X| for consistency probes."""
-    if p.derivative is None:
-        raise ValueError("problem does not expose a derivative")
-    lhs = sum(float(w) * p.inner_y(d, y) for w, d, y in zip(p.weights, p.derivative(x, h), ys))
-    rhs = p.inner_x(h, p.adjoint_step(x, ys))
-    return abs(lhs - rhs)
+def admittivity_problem(data: Dataset, params: AdmissibleParams) -> GenericProblem:
+    """The multi-frequency misfit as a ``GenericProblem`` on stacked (sigma, eps).
+
+    Iterates are arrays of shape (2, n, n).  The residuals are the
+    per-frequency forward states, so the adjoint direction reuses their
+    factorizations; their squared norm is the H1 residual norm of the
+    misfit, and ``inner_x`` is the L2 inner product over both components.
+    """
+    grid = data.grid
+
+    def as_field(x) -> AdmittivityField:
+        return AdmittivityField(grid, x[0], x[1])
+
+    def gradient(x, states) -> np.ndarray:
+        g = gradient_from_states(grid, states)
+        return np.stack((g.g_sigma, g.g_eps))
+
+    return GenericProblem(
+        residuals=lambda x: forward_states(as_field(x), data),
+        adjoint_step=gradient,
+        weights=data.freqs.weights,
+        project=lambda x: stack_field(project_T(as_field(x), params)),
+        inner_x=lambda a, b: sum(grid.h * grid.h * float(np.sum(u * v)) for u, v in zip(a, b)),
+        norm_sq_y=lambda s: residual_norm_sq(grid, s.f_res),
+    )
+
+
+def step(p: GenericProblem, x, mu: float, truth=None) -> tuple[Any, IterationRecord]:
+    """One projected Landweber step from the raw iterate ``x``.
+
+    Returns the raw next iterate (projection happens at the start of the
+    following step) plus the diagnostics record, numbered 0.  Solver
+    failures propagate and leave ``x`` untouched.
+    """
+
+    def norm_x(v) -> float:
+        return math.sqrt(p.inner_x(v, v))
+
+    norm_sq_y = p.norm_sq_y or (lambda r: p.inner_y(r, r))
+    xp = p.project(x)
+    res = p.residuals(xp)
+    j_val = 0.5 * sum(float(w) * norm_sq_y(r) for w, r in zip(p.weights, res))
+    direction = p.adjoint_step(xp, res)
+    x_next = xp - mu * direction
+    err = norm_x(x_next - truth) if truth is not None else float("nan")
+    return x_next, IterationRecord(0, j_val, norm_x(direction), err, norm_x(xp - x))
+
+
+def _plateau_reached(records: list[IterationRecord], stop_tol: float) -> bool:
+    if stop_tol <= 0.0 or len(records) <= PLATEAU_WINDOW:
+        return False
+    j_old = records[-1 - PLATEAU_WINDOW].J
+    j_new = records[-1].J
+    if j_old <= 0.0:
+        return True
+    return (j_old - j_new) < stop_tol * j_old
 
 
 def generic_run(
@@ -275,34 +207,55 @@ def generic_run(
     cfg: LandweberConfig,
     truth=None,
 ) -> tuple[Any, list[IterationRecord]]:
-    """Projected Landweber loop against the abstract interface."""
+    """Iterate ``step`` until ``max_iters``, the discrepancy level or a misfit plateau.
+
+    The discrepancy stop applies when ``cfg.discrepancy_floor`` is set, the
+    plateau stop over a 10-step window when ``cfg.stop_tol`` is positive.
+    Returns the projection of the final iterate together with the full
+    trajectory.  On solver failure the partial trajectory is attached to
+    the raised error.
+    """
     if cfg.mu is None:
         raise ValueError("generic_run requires an explicit step size")
     records: list[IterationRecord] = []
-    j_values: list[float] = []
     x = x0
-    for it in range(1, cfg.max_iters + 1):
-        xp = p.project(x)
-        dev = xp - x
-        proj_dev = math.sqrt(p.inner_x(dev, dev))
-        res = p.residuals(xp)
-        j_val = 0.5 * sum(float(w) * p.inner_y(r, r) for w, r in zip(p.weights, res))
-        direction = p.adjoint_step(xp, res)
-        x = xp - cfg.mu * direction
-        err = float("nan")
-        if truth is not None:
-            diff = x - truth
-            err = math.sqrt(p.inner_x(diff, diff))
-        records.append(
-            IterationRecord(
-                n=it,
-                J=j_val,
-                grad_norm=math.sqrt(p.inner_x(direction, direction)),
-                err_to_truth=err,
-                proj_dev=proj_dev,
-            )
-        )
-        j_values.append(j_val)
-        if _plateau_reached(j_values, cfg.stop_tol):
-            break
+    try:
+        for it in range(1, cfg.max_iters + 1):
+            x, rec = step(p, x, cfg.mu, truth)
+            rec.n = it
+            records.append(rec)
+            if cfg.log_every and it % cfg.log_every == 0:
+                logger.info(
+                    "iter %4d  J=%.6e  |g|=%.3e  proj_dev=%.3e", it, rec.J, rec.grad_norm, rec.proj_dev
+                )
+            if cfg.discrepancy_floor is not None and rec.J <= cfg.discrepancy_tau * cfg.discrepancy_floor:
+                logger.info("discrepancy stop at iteration %d", it)
+                break
+            if _plateau_reached(records, cfg.stop_tol):
+                logger.info("misfit plateau stop at iteration %d", it)
+                break
+    except SolverError as exc:
+        exc.trajectory = records
+        raise
     return p.project(x), records
+
+
+def run(
+    x0: AdmittivityField,
+    data: Dataset,
+    cfg: LandweberConfig,
+    truth: AdmittivityField | None = None,
+) -> tuple[AdmittivityField, list[IterationRecord]]:
+    """Reconstruct from ``x0``: ``generic_run`` on ``admittivity_problem``.
+
+    ``cfg.mu = None`` is resolved first by ``estimate_step_size``.  Returns
+    the projected final field and the trajectory.
+    """
+    if cfg.mu is None:
+        mu = estimate_step_size(x0, data, cfg.admissible)
+        logger.info("auto step size mu=%.4e", mu)
+        cfg = dataclasses.replace(cfg, mu=mu)
+    problem = admittivity_problem(data, cfg.admissible)
+    stacked_truth = None if truth is None else stack_field(truth)
+    xf, records = generic_run(problem, stack_field(x0), cfg, truth=stacked_truth)
+    return AdmittivityField(x0.grid, xf[0], xf[1]), records

@@ -196,9 +196,3 @@ def h1_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex:
     acc += np.sum(face_diff_x(grid, a) * np.conj(face_diff_x(grid, b)))
     acc += np.sum(face_diff_y(grid, a) * np.conj(face_diff_y(grid, b)))
     return complex(h2 * acc)
-
-
-def h2_proxy_norm_sq(grid: Grid, f: np.ndarray) -> float:
-    """Squared H2 proxy: H1 energy plus the interior 5-point Laplacian energy."""
-    lap = laplacian(grid, f)
-    return h1_norm_sq(grid, f) + grid.h * grid.h * float(np.sum(np.abs(lap) ** 2))

@@ -15,6 +15,10 @@ discrete functional:
 Consequently the H1 pairing of ``dF`` against the residual and the nodal
 pairing of a direction against ``gradient_DJ`` agree to solver precision,
 and both match finite differences of the misfit up to Taylor truncation.
+
+Misfit, gradient and normal operator share one factorization per frequency
+through the ``ForwardState`` list; the gradient and the normal operator
+share the face-density reduction ``reduce_densities``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Grid, l2_norm_sq, h1_norm_sq, h1_inner
+from .mesh import Grid, h1_norm_sq
 from .pde import (
     AdmittivityField,
     BoundaryData,
@@ -33,9 +37,9 @@ from .pde import (
     PotentialPair,
     apply_div_coeff_grad,
     assemble,
-    solve_adjoint_op,
+    solve_adjoint,
     solve_dirichlet,
-    solve_forward_op,
+    solve_forward,
 )
 
 #: Environment variable selecting the thread count of per-frequency loops.
@@ -80,6 +84,8 @@ class FrequencyGrid:
             raise ValueError("frequency interval must satisfy omega_lo < omega_hi")
         if self.nodes.ndim != 1 or self.nodes.size == 0:
             raise ValueError("frequency grid needs at least one node")
+        if self.weights.shape != self.nodes.shape:
+            raise ValueError(f"{self.nodes.size} frequency nodes but {self.weights.size} weights")
         if np.any(np.diff(self.nodes) <= 0.0):
             raise ValueError("frequency nodes must be strictly increasing")
         if self.nodes[0] < self.omega_lo - 1e-12 or self.nodes[-1] > self.omega_hi + 1e-12:
@@ -145,17 +151,6 @@ class GradientPair:
     g_sigma: np.ndarray
     g_eps: np.ndarray
 
-    def norm(self, grid: Grid) -> float:
-        return float(np.sqrt(l2_norm_sq(grid, self.g_sigma) + l2_norm_sq(grid, self.g_eps)))
-
-
-def residual_F(a: AdmittivityField, omega: float, data: Dataset) -> PotentialPair:
-    """Forward solve at one frequency minus the stored measurement."""
-    k = data.freqs.index_of(omega)
-    u = solve_forward_op(assemble(a, omega), data.boundary_data(k))
-    meas = data.potentials[k]
-    return PotentialPair(u.u1 - meas.u1, u.u2 - meas.u2)
-
 
 def residual_norm_sq(grid: Grid, f_res: PotentialPair) -> float:
     """Squared discrete H1 norm of a residual pair, both components."""
@@ -166,7 +161,6 @@ def residual_norm_sq(grid: Grid, f_res: PotentialPair) -> float:
 class ForwardState:
     """Per-frequency operator, state, and residual reused across gradient pieces."""
 
-    omega: float
     weight: float
     op: EllipticOperator
     u: PotentialPair
@@ -179,39 +173,26 @@ def forward_states(a: AdmittivityField, data: Dataset) -> list[ForwardState]:
     def one(k: int) -> ForwardState:
         omega = float(data.freqs.nodes[k])
         op = assemble(a, omega)
-        u = solve_forward_op(op, data.boundary_data(k))
+        u = solve_forward(op, data.boundary_data(k))
         meas = data.potentials[k]
         f_res = PotentialPair(u.u1 - meas.u1, u.u2 - meas.u2)
-        return ForwardState(omega, float(data.freqs.weights[k]), op, u, f_res)
+        return ForwardState(float(data.freqs.weights[k]), op, u, f_res)
 
     return map_frequencies(one, range(data.freqs.nodes.size))
 
 
-def misfit_from_states(grid: Grid, states: list[ForwardState]) -> float:
-    return 0.5 * sum(s.weight * residual_norm_sq(grid, s.f_res) for s in states)
-
-
 def misfit_J(a: AdmittivityField, data: Dataset) -> float:
     """Frequency-weighted half sum of squared H1 residual norms."""
-    return misfit_from_states(a.grid, forward_states(a, data))
+    return 0.5 * sum(s.weight * residual_norm_sq(a.grid, s.f_res) for s in forward_states(a, data))
 
 
-def dF_op(
-    op: EllipticOperator, omega: float, h: np.ndarray, k: np.ndarray, u: PotentialPair
-) -> PotentialPair:
-    """Linearized forward map in direction (h, k), reusing a factorization."""
+def dF(op: EllipticOperator, h: np.ndarray, k: np.ndarray, u: PotentialPair) -> PotentialPair:
+    """Linearized forward map at ``op``'s frequency in direction (h, k), from the state ``u``."""
     grid = op.grid
-    delta = h + 1j * omega * k
+    delta = h + 1j * op.omega * k
     zero = np.zeros((len(grid.boundary_index), 2))
     src = np.stack([-apply_div_coeff_grad(grid, delta, uc) for uc in u.components], axis=-1)
     return PotentialPair.from_columns(solve_dirichlet(op, zero, src))
-
-
-def dF(
-    a: AdmittivityField, omega: float, h: np.ndarray, k: np.ndarray, u: PotentialPair
-) -> PotentialPair:
-    """Derivative of the forward map at ``a`` in the perturbation direction (h, k)."""
-    return dF_op(assemble(a, omega), omega, h, k, u)
 
 
 def face_density(grid: Grid, u: PotentialPair, p: PotentialPair) -> np.ndarray:
@@ -235,38 +216,32 @@ def face_density(grid: Grid, u: PotentialPair, p: PotentialPair) -> np.ndarray:
     return out
 
 
-def gradient_from_states(grid: Grid, states: list[ForwardState]) -> GradientPair:
-    def one(s: ForwardState):
-        p = solve_adjoint_op(s.op, s.f_res)
-        return face_density(grid, s.u, p)
+def reduce_densities(grid: Grid, states: list[ForwardState], adjoint_of) -> GradientPair:
+    """Quadrature of the face densities of each state with its adjoint ``adjoint_of(s)``.
 
-    densities = map_frequencies(one, states)
+    The real part feeds ``sigma``, ``-omega`` times the imaginary part
+    ``eps`` (the expansion of the complex coefficient perturbation); both
+    are truncated to the interior region where perturbations live.
+    """
+    densities = map_frequencies(lambda s: face_density(grid, s.u, adjoint_of(s)), states)
     g_sigma = np.zeros(grid.shape)
     g_eps = np.zeros(grid.shape)
     for s, dens in zip(states, densities):
         g_sigma += s.weight * dens.real
-        g_eps += -s.weight * s.omega * dens.imag
+        g_eps += -s.weight * s.op.omega * dens.imag
     g_sigma[~grid.interior_mask] = 0.0
     g_eps[~grid.interior_mask] = 0.0
     return GradientPair(g_sigma, g_eps)
 
 
+def gradient_from_states(grid: Grid, states: list[ForwardState]) -> GradientPair:
+    """Adjoint-state gradient densities of the misfit from its forward states."""
+    return reduce_densities(grid, states, lambda s: solve_adjoint(s.op, s.f_res))
+
+
 def gradient_DJ(a: AdmittivityField, data: Dataset) -> GradientPair:
-    """Adjoint-state gradient densities of the misfit at ``a``.
-
-    ``g_sigma`` collects the real part of the state/adjoint gradient
-    contraction, ``g_eps`` collects ``-omega`` times its imaginary part
-    (the expansion of the complex coefficient perturbation), weighted by
-    the frequency quadrature and truncated to the interior region where
-    perturbations live.
-    """
+    """Adjoint-state gradient densities of the misfit at ``a``."""
     return gradient_from_states(a.grid, forward_states(a, data))
-
-
-def misfit_and_gradient(a: AdmittivityField, data: Dataset) -> tuple[float, GradientPair]:
-    """Misfit and gradient sharing one set of factorizations and forward solves."""
-    states = forward_states(a, data)
-    return misfit_from_states(a.grid, states), gradient_from_states(a.grid, states)
 
 
 def directional_derivative(
@@ -276,44 +251,12 @@ def directional_derivative(
     return grid.h * grid.h * float(np.sum(h * g.g_sigma) + np.sum(k * g.g_eps))
 
 
-def pairing_dF_route(
-    a: AdmittivityField, data: Dataset, h: np.ndarray, k: np.ndarray
-) -> float:
-    """Directional derivative via the linearized map: sum_w Re<dF(h,k), F>_H1.
-
-    Independent code path from ``gradient_DJ`` (no adjoint solve); used to
-    cross-check the two derivative representations against each other.
-    """
-    grid = a.grid
-    acc = 0.0
-    for s in forward_states(a, data):
-        v = dF_op(s.op, s.omega, h, k, s.u)
-        acc += s.weight * (
-            h1_inner(grid, v.u1, s.f_res.u1).real + h1_inner(grid, v.u2, s.f_res.u2).real
-        )
-    return acc
-
-
 def gauss_newton_apply(
     grid: Grid, states: list[ForwardState], h: np.ndarray, k: np.ndarray
 ) -> GradientPair:
     """Apply the frequency-summed normal operator (derivative composed with
     its adjoint) to a direction; used for step-size estimation."""
-
-    def one(s: ForwardState):
-        v = dF_op(s.op, s.omega, h, k, s.u)
-        p = solve_adjoint_op(s.op, v)
-        return face_density(grid, s.u, p)
-
-    densities = map_frequencies(one, states)
-    out_h = np.zeros(grid.shape)
-    out_k = np.zeros(grid.shape)
-    for s, dens in zip(states, densities):
-        out_h += s.weight * dens.real
-        out_k += -s.weight * s.omega * dens.imag
-    out_h[~grid.interior_mask] = 0.0
-    out_k[~grid.interior_mask] = 0.0
-    return GradientPair(out_h, out_k)
+    return reduce_densities(grid, states, lambda s: solve_adjoint(s.op, dF(s.op, h, k, s.u)))
 
 
 def bump_profile(rho_sq: np.ndarray) -> np.ndarray:

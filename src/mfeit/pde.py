@@ -61,9 +61,6 @@ class AdmittivityField:
     def admittivity(self, omega: float) -> np.ndarray:
         return self.sigma + 1j * omega * self.eps
 
-    def copy(self) -> "AdmittivityField":
-        return AdmittivityField(self.grid, self.sigma.copy(), self.eps.copy())
-
 
 def constant_field(grid: Grid, sigma0: float, eps0: float) -> AdmittivityField:
     """Spatially constant admittivity."""
@@ -106,9 +103,6 @@ class PotentialPair:
         """Split a 2-column solution of shape (n, n, 2) into contiguous components."""
         u1, u2 = np.moveaxis(x, -1, 0).copy()
         return cls(u1, u2)
-
-    def copy(self) -> "PotentialPair":
-        return PotentialPair(self.u1.copy(), self.u2.copy())
 
 
 @dataclass
@@ -276,14 +270,9 @@ def solve_dirichlet(
     return x.reshape(grid.shape + bc.shape[1:])
 
 
-def solve_forward_op(op: EllipticOperator, phi: BoundaryData) -> PotentialPair:
+def solve_forward(op: EllipticOperator, phi: BoundaryData) -> PotentialPair:
     """Homogeneous-interior forward solve for both trace components."""
     return PotentialPair.from_columns(solve_dirichlet(op, np.stack(phi.components, axis=-1)))
-
-
-def solve_forward(a: AdmittivityField, omega: float, phi: BoundaryData) -> PotentialPair:
-    """Potentials of the admittivity ``a`` at frequency ``omega`` for data ``phi``."""
-    return solve_forward_op(assemble(a, omega), phi)
 
 
 def adjoint_rhs(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -297,8 +286,11 @@ def adjoint_rhs(grid: Grid, f: np.ndarray) -> np.ndarray:
     return fc - laplacian(grid, fc)
 
 
-def solve_adjoint_op(op: EllipticOperator, f_res: PotentialPair) -> PotentialPair:
-    """Adjoint solve sharing the forward factorization (same complex-symmetric matrix)."""
+def solve_adjoint(op: EllipticOperator, f_res: PotentialPair) -> PotentialPair:
+    """Adjoint solve sharing the forward factorization (same complex-symmetric matrix).
+
+    ``f_res`` must vanish on the boundary ring.
+    """
     grid = op.grid
     for comp in f_res.components:
         bmax = float(np.max(np.abs(grid.trace(comp)))) if grid.boundary_index.size else 0.0
@@ -310,11 +302,6 @@ def solve_adjoint_op(op: EllipticOperator, f_res: PotentialPair) -> PotentialPai
     zero = np.zeros((len(grid.boundary_index), 2))
     src = np.stack([adjoint_rhs(grid, comp) for comp in f_res.components], axis=-1)
     return PotentialPair.from_columns(solve_dirichlet(op, zero, src))
-
-
-def solve_adjoint(a: AdmittivityField, omega: float, f_res: PotentialPair) -> PotentialPair:
-    """Adjoint-state pair for residual ``f_res`` (must vanish on the boundary)."""
-    return solve_adjoint_op(assemble(a, omega), f_res)
 
 
 def solve_poisson(grid: Grid, rhs: np.ndarray, bc: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .admissible import AdmissibleParams, is_member
 from .mesh import Grid, refine_grid, restrict_injection
 from .objective import Dataset, bump_profile
-from .pde import AdmittivityField, PotentialPair, solve_forward
+from .pde import AdmittivityField, PotentialPair, assemble, solve_forward
 from .properbc import canonical_phi
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,7 +94,7 @@ def synthesize_data(spec: PhantomSpec, cfg: RunConfig) -> Dataset:
 
     potentials = []
     for omega in freqs.nodes:
-        u_fine = solve_forward(a_fine, float(omega), phi_fine)
+        u_fine = solve_forward(assemble(a_fine, float(omega)), phi_fine)
         potentials.append(
             PotentialPair(
                 restrict_injection(u_fine.u1, factor),

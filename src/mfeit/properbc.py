@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Grid, grad
-from .pde import AdmittivityField, BoundaryData, PotentialPair, assemble, solve_forward_op
+from .pde import AdmittivityField, BoundaryData, PotentialPair, assemble, solve_forward
 from .objective import FrequencyGrid, map_frequencies
 
 #: Coverage constants below this make the problem effectively non-invertible.
@@ -56,7 +56,7 @@ def coverage_lambda(
 
     def one(k: int) -> np.ndarray:
         omega = float(freqs.nodes[k])
-        u = solve_forward_op(assemble(a, omega), phi)
+        u = solve_forward(assemble(a, omega), phi)
         return det_gradient_map(grid, u)
 
     per_freq = map_frequencies(one, range(freqs.nodes.size))

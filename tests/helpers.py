@@ -1,14 +1,22 @@
-"""Shared oracles and builders for the test suite."""
+"""Shared oracles and builders for the test suite.
+
+The derivative routes, norms and solvers here are independent of the code
+paths they check, so they live with the tests rather than in the package.
+"""
 
 from __future__ import annotations
+
+import math
+from typing import Any
 
 import numpy as np
 
 from mfeit import PhantomSpec, Inclusion
-from mfeit.landweber import GenericProblem
-from mfeit.mesh import Grid
-from mfeit.objective import bump_profile
-from mfeit.pde import AdmittivityField
+from mfeit.initguess import DEFAULT_PINV_TOL, _log_bc, _warn_branch, fold_imag, gamma_rhs
+from mfeit.landweber import GenericProblem, LandweberConfig, run
+from mfeit.mesh import Grid, h1_inner, h1_norm_sq, l2_norm_sq, laplacian
+from mfeit.objective import Dataset, bump_profile, dF, forward_states
+from mfeit.pde import AdmittivityField, PotentialPair, SolverError, assemble, solve_forward, solve_poisson
 
 
 TWO_BUMPS = PhantomSpec(
@@ -69,3 +77,96 @@ def linear_oracle(seed: int = 321, n_mats: int = 3, dim: int = 5):
     x_star = np.linalg.solve(normal, rhs)
     mu = 0.9 / sum(np.linalg.norm(a, 2) ** 2 for a in mats)
     return problem, x_star, mu
+
+
+def pair_distance(a: AdmittivityField, b: AdmittivityField) -> float:
+    """L2 distance between two admittivity fields over both components."""
+    grid = a.grid
+    return math.sqrt(l2_norm_sq(grid, a.sigma - b.sigma) + l2_norm_sq(grid, a.eps - b.eps))
+
+
+def find_mu_safe(
+    x0: AdmittivityField,
+    data: Dataset,
+    cfg: LandweberConfig,
+    mu_start: float,
+    n_check: int = 5,
+    max_doublings: int = 12,
+) -> float:
+    """Largest tested step size whose first ``n_check`` misfit values are non-increasing.
+
+    Doubles from ``mu_start`` until a violation appears and returns the last
+    safe value.
+    """
+    mu = mu_start
+    safe = None
+    for _ in range(max_doublings):
+        trial = LandweberConfig(
+            admissible=cfg.admissible, mu=mu, max_iters=n_check, stop_tol=0.0, log_every=0
+        )
+        _, recs = run(x0, data, trial)
+        js = [r.J for r in recs]
+        if all(b <= a * (1.0 + 1e-12) for a, b in zip(js, js[1:])):
+            safe = mu
+            mu *= 2.0
+        else:
+            break
+    if safe is None:
+        raise SolverError(f"no monotone step size found at or above {mu_start:.3e}")
+    return safe
+
+
+def adjoint_mismatch(p: GenericProblem, x, h, ys: list[Any]) -> float:
+    """|sum_w <DF(h), y>_Y - <h, adjoint_step(ys)>_X| for consistency probes."""
+    if p.derivative is None:
+        raise ValueError("problem does not expose a derivative")
+    lhs = sum(float(w) * p.inner_y(d, y) for w, d, y in zip(p.weights, p.derivative(x, h), ys))
+    rhs = p.inner_x(h, p.adjoint_step(x, ys))
+    return abs(lhs - rhs)
+
+
+def residual_F(a: AdmittivityField, omega: float, data: Dataset) -> PotentialPair:
+    """Forward solve at one frequency minus the stored measurement."""
+    k = data.freqs.index_of(omega)
+    u = solve_forward(assemble(a, omega), data.boundary_data(k))
+    meas = data.potentials[k]
+    return PotentialPair(u.u1 - meas.u1, u.u2 - meas.u2)
+
+
+def pairing_dF_route(
+    a: AdmittivityField, data: Dataset, h: np.ndarray, k: np.ndarray
+) -> float:
+    """Directional derivative via the linearized map: sum_w Re<dF(h,k), F>_H1.
+
+    Independent code path from ``gradient_DJ`` (no adjoint solve); used to
+    cross-check the two derivative representations against each other.
+    """
+    grid = a.grid
+    acc = 0.0
+    for s in forward_states(a, data):
+        v = dF(s.op, h, k, s.u)
+        acc += s.weight * (
+            h1_inner(grid, v.u1, s.f_res.u1).real + h1_inner(grid, v.u2, s.f_res.u2).real
+        )
+    return acc
+
+
+def h2_proxy_norm_sq(grid: Grid, f: np.ndarray) -> float:
+    """Squared H2 proxy: H1 energy plus the interior 5-point Laplacian energy."""
+    lap = laplacian(grid, f)
+    return h1_norm_sq(grid, f) + grid.h * grid.h * float(np.sum(np.abs(lap) ** 2))
+
+
+def solve_gamma(
+    grid: Grid,
+    u_omega: PotentialPair,
+    omega: float,
+    sigma0: float,
+    eps0: float,
+    tol: float = DEFAULT_PINV_TOL,
+) -> np.ndarray:
+    """Log-admittivity field at one frequency from the measured pair."""
+    gamma = solve_poisson(grid, gamma_rhs(grid, u_omega, tol), _log_bc(grid, omega, sigma0, eps0))
+    gamma, violations = fold_imag(gamma)
+    _warn_branch(violations, omega)
+    return gamma

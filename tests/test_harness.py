@@ -1,3 +1,4 @@
+import configparser
 import os
 
 import numpy as np
@@ -190,6 +191,39 @@ class TestDatasetValidation:
         u[0, 5] += 0.01
         write_field(base, u, build_grid(17, 0.2))
         self._rejects(path, data_dir, "u_001_c2", capsys)
+
+    def test_field_meta_without_n(self, dataset, capsys):
+        path, data_dir = dataset
+        meta = os.path.join(data_dir, "u_000_c1.meta")
+        with open(meta) as fh:
+            lines = [line for line in fh if not line.startswith("n =")]
+        with open(meta, "w") as fh:
+            fh.writelines(lines)
+        self._rejects(path, data_dir, "u_000_c1", capsys)
+
+    def _edit_manifest(self, data_dir, edit):
+        manifest = os.path.join(data_dir, "manifest.cfg")
+        cp = configparser.ConfigParser()
+        cp.read(manifest)
+        edit(cp["frequencies"])
+        with open(manifest, "w") as fh:
+            cp.write(fh)
+
+    def test_manifest_missing_key(self, dataset, capsys):
+        path, data_dir = dataset
+        self._edit_manifest(data_dir, lambda sec: sec.pop("weights"))
+        self._rejects(path, data_dir, "manifest.cfg", capsys)
+
+    def test_manifest_nodes_and_weights_differ_in_length(self, dataset, capsys):
+        # one weight equal to the interval length for the two nodes
+        path, data_dir = dataset
+        self._edit_manifest(data_dir, lambda sec: sec.__setitem__("weights", "1.0"))
+        with pytest.raises(ValueError, match="manifest.cfg"):
+            read_dataset(data_dir)
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", path, "--data", data_dir]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and "2 frequency nodes but 1 weights" in err
 
 
 class TestConfig:

@@ -13,13 +13,12 @@ from mfeit.initguess import (
     gamma_rhs,
     initial_guess,
     pinv2x2,
-    solve_gamma,
 )
 from mfeit.mesh import build_grid, div, grad
 from mfeit.pde import PotentialPair, constant_field
 from mfeit.phantom import make_phantom, synthesize_data
 
-from helpers import TWO_BUMPS, rel_interior_err
+from helpers import TWO_BUMPS, rel_interior_err, solve_gamma
 
 
 @pytest.fixture(scope="module")

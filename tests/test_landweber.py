@@ -6,19 +6,32 @@ from mfeit.admissible import project_T
 from mfeit.landweber import (
     GenericProblem,
     LandweberConfig,
-    adjoint_mismatch,
+    admittivity_problem,
     estimate_step_size,
-    find_mu_safe,
     generic_run,
-    pair_distance,
     run,
+    stack_field,
     step,
 )
 from mfeit.initguess import initial_guess
-from mfeit.pde import constant_field
+from mfeit.pde import AdmittivityField, constant_field
 from mfeit.phantom import make_phantom, synthesize_data
 
-from helpers import ONE_BUMP, linear_oracle, rel_interior_err
+from helpers import (
+    ONE_BUMP,
+    adjoint_mismatch,
+    find_mu_safe,
+    linear_oracle,
+    pair_distance,
+    rel_interior_err,
+)
+
+
+def pde_step(x, data, lcfg, truth=None):
+    """One ``step`` of the admittivity problem from the field ``x``, returned as a field."""
+    problem = admittivity_problem(data, lcfg.admissible)
+    x_next, rec = step(problem, stack_field(x), lcfg.mu, None if truth is None else stack_field(truth))
+    return AdmittivityField(x.grid, x_next[0], x_next[1]), rec
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +61,7 @@ def test_step_fixed_point_at_consistent_background(constant_data):
     data, cfg = constant_data
     x = constant_field(data.grid, 1.0, 1.0)
     lcfg = LandweberConfig(admissible=cfg.admissible, mu=1.0)
-    x1, rec = step(x, data, lcfg)
+    x1, rec = pde_step(x, data, lcfg)
     assert pair_distance(x1, x) <= 1e-9
     assert rec.J <= 1e-18
     assert rec.grad_norm <= 1e-12
@@ -59,7 +72,7 @@ def test_step_mu_zero_returns_projection(bump_setup):
     wild = constant_field(data.grid, 1.0, 1.0)
     wild.sigma += 0.5  # constant offset violates the support constraint
     lcfg = LandweberConfig(admissible=cfg.admissible, mu=1e-300)
-    x1, rec = step(wild, data, lcfg)
+    x1, rec = pde_step(wild, data, lcfg)
     projected = project_T(wild, cfg.admissible)
     assert pair_distance(x1, projected) < 1e-250
     assert rec.proj_dev == pytest.approx(pair_distance(projected, wild), rel=1e-12)
@@ -78,8 +91,8 @@ def test_step_descends_from_background(bump_setup):
 def test_step_deterministic(bump_setup):
     data, cfg, truth, x0 = bump_setup
     lcfg = LandweberConfig(admissible=cfg.admissible, mu=1.0)
-    a1, r1 = step(x0, data, lcfg, truth=truth)
-    a2, r2 = step(x0, data, lcfg, truth=truth)
+    a1, r1 = pde_step(x0, data, lcfg, truth=truth)
+    a2, r2 = pde_step(x0, data, lcfg, truth=truth)
     assert np.array_equal(a1.sigma, a2.sigma)
     assert np.array_equal(a1.eps, a2.eps)
     assert r1 == r2

@@ -9,16 +9,14 @@ from mfeit.objective import (
     directional_derivative,
     gradient_DJ,
     misfit_J,
-    pairing_dF_route,
     random_smooth_pair,
-    residual_F,
     residual_norm_sq,
 )
-from mfeit.pde import AdmittivityField, constant_field, solve_forward
+from mfeit.pde import AdmittivityField, assemble, constant_field, solve_forward
 from mfeit.phantom import add_noise, make_phantom, synthesize_data
 from mfeit.admissible import project_T
 
-from helpers import ONE_BUMP
+from helpers import ONE_BUMP, pairing_dF_route, residual_F
 from mfeit import RunConfig
 
 
@@ -47,6 +45,11 @@ class TestFrequencyGrid:
             FrequencyGrid(1.0, 2.0, np.array([1.5, 1.2]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             FrequencyGrid(1.0, 2.0, np.array([1.2, 1.5]), np.array([0.5, 0.4]))
+
+    def test_nodes_and_weights_of_different_lengths_rejected(self):
+        # two weights summing to the interval length, three nodes
+        with pytest.raises(ValueError, match="3 frequency nodes but 2 weights"):
+            FrequencyGrid(1.0, 2.0, np.array([1.0, 1.5, 2.0]), np.array([0.5, 0.5]))
 
     def test_index_lookup(self):
         f = FrequencyGrid.uniform(1.0, 2.0, 5)
@@ -134,19 +137,19 @@ class TestLinearization:
     def test_zero_direction(self, data33, truth33):
         data, _ = data33
         omega = float(data.freqs.nodes[1])
-        u = solve_forward(truth33, omega, data.boundary_data(1))
+        u = solve_forward(assemble(truth33, omega), data.boundary_data(1))
         z = np.zeros(data.grid.shape)
-        v = dF(truth33, omega, z, z, u)
+        v = dF(assemble(truth33, omega), z, z, u)
         assert np.max(np.abs(v.u1)) == 0.0
 
     def test_linearity(self, data33, truth33):
         data, _ = data33
         grid = data.grid
         omega = float(data.freqs.nodes[1])
-        u = solve_forward(truth33, omega, data.boundary_data(1))
+        u = solve_forward(assemble(truth33, omega), data.boundary_data(1))
         h, k = unit_direction(grid, np.random.default_rng(5))
-        v1 = dF(truth33, omega, h, k, u)
-        v2 = dF(truth33, omega, 2 * h, 2 * k, u)
+        v1 = dF(assemble(truth33, omega), h, k, u)
+        v2 = dF(assemble(truth33, omega), 2 * h, 2 * k, u)
         assert np.max(np.abs(v2.u1 - 2 * v1.u1)) < 1e-12
         assert np.max(np.abs(v2.u2 - 2 * v1.u2)) < 1e-12
 
@@ -156,13 +159,13 @@ class TestLinearization:
         a0 = project_T(constant_field(grid, 1.0, 1.0), cfg.admissible)
         omega = float(data.freqs.nodes[0])
         phi = data.boundary_data(0)
-        u0 = solve_forward(a0, omega, phi)
+        u0 = solve_forward(assemble(a0, omega), phi)
         h, k = unit_direction(grid, np.random.default_rng(3))
-        v = dF(a0, omega, h, k, u0)
+        v = dF(assemble(a0, omega), h, k, u0)
 
         def remainder(t):
             at = AdmittivityField(grid, a0.sigma + t * h, a0.eps + t * k)
-            ut = solve_forward(at, omega, phi)
+            ut = solve_forward(assemble(at, omega), phi)
             return np.sqrt(
                 h1_norm_sq(grid, ut.u1 - u0.u1 - t * v.u1)
                 + h1_norm_sq(grid, ut.u2 - u0.u2 - t * v.u2)
@@ -218,8 +221,8 @@ class TestGradient:
         data, _ = data33
         phi = data.boundary_data(0)
         for omega in (0.7, 1.3, 1.9):
-            up = solve_forward(truth33, omega, phi)
-            um = solve_forward(truth33, -omega, phi)
+            up = solve_forward(assemble(truth33, omega), phi)
+            um = solve_forward(assemble(truth33, -omega), phi)
             assert np.max(np.abs(um.u1 - np.conj(up.u1))) < 1e-12
             assert np.max(np.abs(um.u2 - np.conj(up.u2))) < 1e-12
 

@@ -119,7 +119,7 @@ def test_solve_dirichlet_discrete_manufactured(smooth_field33):
 
 
 def test_solve_forward_constant_gives_coordinates(grid17):
-    u = solve_forward(constant_field(grid17, 1.0, 1.0), 1.2, canonical_phi(grid17))
+    u = solve_forward(assemble(constant_field(grid17, 1.0, 1.0), 1.2), canonical_phi(grid17))
     assert np.max(np.abs(u.u1 - grid17.X)) < 1e-11
     assert np.max(np.abs(u.u2 - grid17.Y)) < 1e-11
 
@@ -128,7 +128,7 @@ def test_solve_forward_bump_keeps_boundary_exact():
     g = build_grid(33, 0.2)
     a = make_phantom(TWO_BUMPS, g)
     phi = canonical_phi(g)
-    u = solve_forward(a, 1.5, phi)
+    u = solve_forward(assemble(a, 1.5), phi)
     assert np.array_equal(g.trace(u.u1), phi.phi1.astype(complex))
     assert np.array_equal(g.trace(u.u2), phi.phi2.astype(complex))
     assert np.max(np.abs(u.u1 - g.X)) > 1e-4  # the inclusions actually perturb
@@ -141,7 +141,7 @@ def test_solve_forward_self_convergence():
     for n in (17, 33, 65):
         g = build_grid(n, 0.2)
         a = make_phantom(TWO_BUMPS, g)
-        sols[n] = (g, solve_forward(a, omega, canonical_phi(g)))
+        sols[n] = (g, solve_forward(assemble(a, omega), canonical_phi(g)))
     def diff(nc, nf):
         gc, uc = sols[nc]
         _, uf = sols[nf]
@@ -154,7 +154,7 @@ def test_solve_forward_self_convergence():
 
 def test_solve_adjoint_zero_residual(grid17):
     f = PotentialPair(np.zeros(grid17.shape, complex), np.zeros(grid17.shape, complex))
-    p = solve_adjoint(constant_field(grid17, 1.0, 1.0), 1.1, f)
+    p = solve_adjoint(assemble(constant_field(grid17, 1.0, 1.0), 1.1), f)
     assert np.max(np.abs(p.u1)) == 0.0 and np.max(np.abs(p.u2)) == 0.0
 
 
@@ -163,7 +163,7 @@ def test_solve_adjoint_dense_lu_oracle(grid17):
     a = constant_field(g, 1.0, 1.0)
     f1 = (np.sin(np.pi * g.X) * np.sin(np.pi * g.Y)).astype(complex)
     f = PotentialPair(f1, np.zeros_like(f1))
-    p = solve_adjoint(a, 1.3, f)
+    p = solve_adjoint(assemble(a, 1.3), f)
     op = assemble(a, 1.3)
     b = adjoint_rhs(g, f1).reshape(-1).astype(complex)
     b[g.boundary_index] = 0.0
@@ -192,7 +192,7 @@ def test_solve_adjoint_rhs_two_path_consistency(grid17):
 def test_solve_adjoint_rejects_nonzero_boundary(grid17):
     f1 = np.ones(grid17.shape, dtype=complex)
     with pytest.raises(ValueError):
-        solve_adjoint(constant_field(grid17, 1.0, 1.0), 1.0, PotentialPair(f1, f1))
+        solve_adjoint(assemble(constant_field(grid17, 1.0, 1.0), 1.0), PotentialPair(f1, f1))
 
 
 def test_solve_poisson_examples(grid17):
@@ -222,8 +222,8 @@ def test_superposition_in_bc_and_src(grid17):
 
 def test_constant_coefficient_scale_invariance(grid17):
     phi = canonical_phi(grid17)
-    u1 = solve_forward(constant_field(grid17, 2.0, 3.0), 1.1, phi)
-    u2 = solve_forward(constant_field(grid17, 10.0, 15.0), 1.1, phi)
+    u1 = solve_forward(assemble(constant_field(grid17, 2.0, 3.0), 1.1), phi)
+    u2 = solve_forward(assemble(constant_field(grid17, 10.0, 15.0), 1.1), phi)
     assert np.max(np.abs(u1.u1 - u2.u1)) < 1e-12
     assert np.max(np.abs(u1.u2 - u2.u2)) < 1e-12
 

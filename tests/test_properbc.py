@@ -3,7 +3,7 @@ import pytest
 
 from mfeit.mesh import build_grid
 from mfeit.objective import FrequencyGrid
-from mfeit.pde import AdmittivityField, BoundaryData, PotentialPair, constant_field, solve_forward
+from mfeit.pde import AdmittivityField, BoundaryData, PotentialPair, assemble, constant_field, solve_forward
 from mfeit.phantom import make_phantom
 from mfeit.properbc import canonical_phi, coverage_lambda, det_gradient_map
 
@@ -25,7 +25,7 @@ def test_canonical_phi_corner_values(grid):
 
 
 def test_constant_forward_has_identity_gradient(grid):
-    u = solve_forward(constant_field(grid, 1.0, 1.0), 1.7, canonical_phi(grid))
+    u = solve_forward(assemble(constant_field(grid, 1.0, 1.0), 1.7), canonical_phi(grid))
     det = det_gradient_map(grid, u)
     assert np.max(np.abs(det - 1.0)) < 1e-10
 
