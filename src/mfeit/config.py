@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from .admissible import AdmissibleParams
@@ -72,6 +73,10 @@ class RunConfig:
             raise ConfigError(f"[landweber] x0 must be 'initguess' or 'background', got {self.x0!r}")
         if self.noise_level < 0.0:
             raise ConfigError("[noise] level must be nonnegative")
+        if self.pinv_tol <= 0.0:
+            raise ConfigError(f"[initguess] pinv_tol must be positive, got {self.pinv_tol!r}")
+        if self.log_every < 0:
+            raise ConfigError(f"[landweber] log_every must be nonnegative, got {self.log_every}")
         if self.n_freq < 1:
             raise ConfigError("[frequencies] count must be at least 1")
         try:
@@ -125,9 +130,12 @@ def _parse_inclusions(raw: str) -> list[Inclusion]:
                 f"[phantom] inclusions: expected 'cx cy radius dsigma deps', got {line!r}"
             )
         try:
-            cx, cy, radius, dsigma, deps = (float(p) for p in parts)
+            values = [float(p) for p in parts]
         except ValueError as exc:
             raise ConfigError(f"[phantom] inclusions: non-numeric entry in {line!r}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"[phantom] inclusions: non-finite entry in {line!r}")
+        cx, cy, radius, dsigma, deps = values
         out.append(Inclusion(cx, cy, radius, dsigma, deps))
     return out
 
@@ -139,9 +147,12 @@ def _get(cp, section, key, conv, current):
     try:
         if conv is bool:
             return cp.getboolean(section, key)
-        return conv(raw)
+        value = conv(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+    if conv is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -190,6 +201,8 @@ def parse_config_text(text: str) -> RunConfig:
             cfg.mu = float(mu_raw)
         except ValueError as exc:
             raise ConfigError(f"[landweber] mu: expected 'auto' or a number, got {mu_raw!r}") from exc
+        if not math.isfinite(cfg.mu):
+            raise ConfigError(f"[landweber] mu: must be finite, got {mu_raw!r}")
     cfg.max_iters = _get(cp, "landweber", "max_iters", int, cfg.max_iters)
     cfg.stop_tol = _get(cp, "landweber", "stop_tol", float, cfg.stop_tol)
     cfg.log_every = _get(cp, "landweber", "log_every", int, cfg.log_every)

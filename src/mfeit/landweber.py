@@ -26,9 +26,10 @@ from typing import Any, Callable
 import numpy as np
 
 from .admissible import AdmissibleParams, project_T
-from .mesh import l2_norm_sq
+from .mesh import Grid, l2_norm_sq
 from .objective import (
     Dataset,
+    ForwardState,
     directional_derivative,
     forward_states,
     gauss_newton_apply,
@@ -83,16 +84,14 @@ class IterationRecord:
     proj_dev: float
 
 
-def estimate_step_size(x0: AdmittivityField, data: Dataset, params: AdmissibleParams) -> float:
+def estimate_step_size(grid: Grid, states: list[ForwardState]) -> float:
     """Step size from a power-iteration estimate of the squared derivative norm.
 
+    ``states`` are the forward states at the (projected) start iterate.
     Iterates the frequency-summed normal operator 8 times on a random
     interior direction (seed 0) and returns ``0.9 / L`` for the Rayleigh
     quotient L at the last iterate.
     """
-    a = project_T(x0, params)
-    grid = a.grid
-    states = forward_states(a, data)
     rng = np.random.default_rng(0)
     h, k = random_smooth_pair(grid, rng)
     nrm = math.sqrt(l2_norm_sq(grid, h) + l2_norm_sq(grid, k))
@@ -240,6 +239,26 @@ def generic_run(
     return p.project(x), records
 
 
+def _auto_step_size(p: GenericProblem, x0: np.ndarray, grid: Grid) -> tuple[GenericProblem, float]:
+    """``estimate_step_size`` at the projected start iterate, and ``p`` set to reuse its states.
+
+    The returned problem hands the start iterate's forward states to the
+    first residual evaluation at that iterate (the first step) and then
+    drops them, so their factorizations live no longer than that step.
+    """
+    start = p.project(x0)
+    pending = [p.residuals(start)]
+    mu = estimate_step_size(grid, pending[0])
+
+    def residuals(x):
+        if pending and np.array_equal(x, start):
+            return pending.pop()
+        pending.clear()
+        return p.residuals(x)
+
+    return dataclasses.replace(p, residuals=residuals), mu
+
+
 def run(
     x0: AdmittivityField,
     data: Dataset,
@@ -248,14 +267,16 @@ def run(
 ) -> tuple[AdmittivityField, list[IterationRecord]]:
     """Reconstruct from ``x0``: ``generic_run`` on ``admittivity_problem``.
 
-    ``cfg.mu = None`` is resolved first by ``estimate_step_size``.  Returns
-    the projected final field and the trajectory.
+    ``cfg.mu = None`` is resolved first by ``estimate_step_size``, whose
+    forward states at the projected start iterate also serve the first
+    step.  Returns the projected final field and the trajectory.
     """
+    problem = admittivity_problem(data, cfg.admissible)
+    x = stack_field(x0)
     if cfg.mu is None:
-        mu = estimate_step_size(x0, data, cfg.admissible)
+        problem, mu = _auto_step_size(problem, x, data.grid)
         logger.info("auto step size mu=%.4e", mu)
         cfg = dataclasses.replace(cfg, mu=mu)
-    problem = admittivity_problem(data, cfg.admissible)
     stacked_truth = None if truth is None else stack_field(truth)
-    xf, records = generic_run(problem, stack_field(x0), cfg, truth=stacked_truth)
+    xf, records = generic_run(problem, x, cfg, truth=stacked_truth)
     return AdmittivityField(x0.grid, xf[0], xf[1]), records

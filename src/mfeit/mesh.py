@@ -187,12 +187,3 @@ def h1_norm_sq(grid: Grid, f: np.ndarray) -> float:
     return h2 * float(
         np.sum(np.abs(f) ** 2) + np.sum(np.abs(gx) ** 2) + np.sum(np.abs(gy) ** 2)
     )
-
-
-def h1_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex:
-    """Discrete H1 inner product ``<a, b>`` (conjugate-linear in b)."""
-    h2 = grid.h * grid.h
-    acc = np.sum(a * np.conj(b))
-    acc += np.sum(face_diff_x(grid, a) * np.conj(face_diff_x(grid, b)))
-    acc += np.sum(face_diff_y(grid, a) * np.conj(face_diff_y(grid, b)))
-    return complex(h2 * acc)

@@ -115,12 +115,6 @@ class FrequencyGrid:
     def omega_mid(self) -> float:
         return 0.5 * (self.omega_lo + self.omega_hi)
 
-    def index_of(self, omega: float) -> int:
-        hits = np.flatnonzero(np.isclose(self.nodes, omega, rtol=1e-12, atol=1e-12))
-        if hits.size == 0:
-            raise KeyError(f"frequency {omega} is not a quadrature node")
-        return int(hits[0])
-
 
 @dataclass
 class Dataset:

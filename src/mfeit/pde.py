@@ -3,22 +3,28 @@
 Everything here discretizes ``div((sigma + i*omega*eps) * grad(u))`` with a
 conservative 5-point scheme: the coefficient on each cell face is the
 arithmetic mean of the two adjacent nodal values, and boundary nodes carry
-identity rows in the assembled matrix.
+identity rows in the full system.
 
-Solves factor only the interior block (Dirichlet rows and columns removed)
-with SuperLU under a minimum-degree ordering of ``A^T + A``, which roughly
+The full system is never built.  Its sparsity depends only on the grid
+size, so ``operator_pattern`` computes it once per n, and ``assemble``
+only gathers the face couplings into two matrices: the interior block
+``A_II`` (Dirichlet rows and columns removed) and the boundary coupling
+``A_IB`` (interior rows, boundary columns).  The block is factored with
+SuperLU under a minimum-degree ordering of ``A^T + A``, which roughly
 halves the fill of factoring the full system.  One factorization per
 (coefficient, frequency) pair is cached on the operator and shared by every
 right-hand side, including the adjoint problem, whose matrix is the same
-because the assembled operator is complex-symmetric rather than Hermitian.
-``solve_dirichlet`` takes one or several columns at once; the two trace
-components of a forward, adjoint or linearized solve go through it as one
-2-column right-hand side.  Every column must meet the ``SOLVE_RTOL``
-backward-error gate against the full assembled matrix.
+because the operator is complex-symmetric rather than Hermitian.
+``solve_dirichlet`` takes one or several columns at once and works on the
+interior unknowns only: the boundary values enter once, through ``A_IB``.
+The two trace components of a forward, adjoint or linearized solve go
+through it as one 2-column right-hand side.  Every column must meet the
+``SOLVE_RTOL`` backward-error gate of the full system, whose norms include
+the boundary values.
 """
-
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,90 +111,125 @@ class PotentialPair:
         return cls(u1, u2)
 
 
+@dataclass(frozen=True, eq=False)
+class OperatorPattern:
+    """Sparsity of the assembled operator on an n x n grid, shared by every fill.
+
+    ``inner`` lists the interior unknowns (flat indices, increasing) and
+    ``face[p]`` the four faces of interior row p in column order (-x, -y,
+    +y, +x), indexing the x faces followed by the y faces, both flattened.
+    The CSC structure of the interior block ``A_II`` and the CSR structure
+    of the boundary coupling ``A_IB`` (columns in ``grid.boundary_index``
+    order) come with ``*_take`` gather maps into the flattened value table
+    of shape (m, 5) whose columns are (-x, -y, diagonal, +y, +x).  Because
+    ``A_II`` is complex-symmetric, column p of the block holds exactly the
+    values of row p.
+    """
+
+    inner: np.ndarray
+    face: np.ndarray
+    block_indptr: np.ndarray
+    block_indices: np.ndarray
+    block_take: np.ndarray
+    coupling_indptr: np.ndarray
+    coupling_indices: np.ndarray
+    coupling_take: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def operator_pattern(n: int) -> OperatorPattern:
+    """The cached ``OperatorPattern`` of the n x n grid (arrays are read-only)."""
+    i, j = (v.reshape(-1) for v in np.meshgrid(np.arange(1, n - 1), np.arange(1, n - 1), indexing="ij"))
+    inner = i * n + j
+    yface = (n - 1) * n + i * (n - 1) + j
+    face = np.stack([inner - n, yface - 1, yface, inner], axis=-1)
+    nodes = np.stack([inner - n, inner - 1, inner, inner + 1, inner + n], axis=-1)
+
+    # Column of each node in A_II (interior nodes) and in A_IB (the ring).
+    position = np.full(n * n, -1)
+    position[inner] = np.arange(inner.size)
+    ring = position < 0
+    bpos = np.full(n * n, -1)
+    bpos[ring] = np.arange(np.count_nonzero(ring))
+    interior = position[nodes] >= 0
+
+    def structure(mask, columns):
+        indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+        return indptr, columns[nodes[mask]], np.flatnonzero(mask)
+
+    arrays = (inner, face) + structure(interior, position) + structure(~interior, bpos)
+    arrays = tuple(np.ascontiguousarray(a, dtype=np.int32) for a in arrays)
+    for a in arrays:
+        a.setflags(write=False)
+    return OperatorPattern(*arrays)
+
+
 @dataclass
 class EllipticOperator:
-    """Assembled sparse operator with a lazily cached interior-block LU factorization."""
+    """Interior block ``A_II`` (CSC) and boundary coupling ``A_IB`` (CSR) of one operator.
+
+    The boundary rows of the full system are identity rows, so the interior
+    unknowns satisfy ``A_II x_I = b_I - A_IB bc``.  ``norm`` is the infinity
+    norm of the full system, ``max(1, interior row sums of |A|)``.  The LU
+    factorization of the block is computed on first use and cached.
+    """
 
     grid: Grid
     omega: float
-    matrix: sp.csc_matrix
+    block: sp.csc_matrix
+    coupling: sp.csr_matrix
+    norm: float
     _lu: object = field(default=None, repr=False)
-    _norm: float = field(default=0.0, repr=False)
-
-    @property
-    def unknowns(self) -> np.ndarray:
-        """Flat indices of the non-boundary nodes, the unknowns of the factored block."""
-        return np.flatnonzero(~self.grid.boundary_mask.reshape(-1))
 
     def factorization(self):
         """SuperLU factors of the interior block, ordered by minimum degree on A^T + A."""
         if self._lu is None:
-            inner = self.unknowns
-            block = self.matrix[:, inner][inner, :].tocsc()
             try:
-                self._lu = spla.splu(block, permc_spec="MMD_AT_PLUS_A")
+                self._lu = spla.splu(self.block, permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:  # singular or breakdown
                 raise SolverError(f"sparse factorization failed: {exc}") from exc
         return self._lu
-
-    def norm_inf(self) -> float:
-        if self._norm == 0.0:
-            self._norm = float(np.max(np.abs(self.matrix).sum(axis=1)))
-        return self._norm
 
 
 def assemble(a: AdmittivityField, omega: float) -> EllipticOperator:
     """Assemble ``div((sigma + i*omega*eps) grad(.))`` with Dirichlet rows.
 
-    Face coefficients are arithmetic means of the adjacent nodal values, so
-    interior row sums vanish and the interior block is complex-symmetric.
-    Nonpositive sigma or eps anywhere is rejected: the forward model is only
-    elliptic for strictly positive material parameters.
+    Face coefficients are arithmetic means of the adjacent nodal values and
+    the diagonal is the negated sum of the four couplings, so interior row
+    sums vanish and the interior block is complex-symmetric.  Values are
+    gathered into the cached pattern of the grid; no full-size matrix is
+    built.  Nonpositive sigma or eps anywhere is rejected: the forward model
+    is only elliptic for strictly positive material parameters.
     """
     if np.any(a.sigma <= 0.0):
         raise ValueError("conductivity must be strictly positive everywhere")
     if np.any(a.eps <= 0.0):
         raise ValueError("permittivity must be strictly positive everywhere")
     grid = a.grid
-    n = grid.n
+    pat = operator_pattern(grid.n)
     h2 = grid.h * grid.h
     coeff = a.admittivity(omega)
 
     # Face coefficients between node (i,j) and its +x / +y neighbors.
     cfx = 0.5 * (coeff[:-1, :] + coeff[1:, :])  # (n-1, n)
     cfy = 0.5 * (coeff[:, :-1] + coeff[:, 1:])  # (n, n-1)
+    e = np.concatenate((cfx.reshape(-1), cfy.reshape(-1)))[pat.face] / h2
 
-    idx = np.arange(n * n).reshape(n, n)
-    inner = ~grid.boundary_mask
-
-    rows, cols, vals = [], [], []
-
-    def couple(face_c, rc, cc):
-        mask = inner[rc]
-        rows.append(idx[rc][mask])
-        cols.append(idx[cc][mask])
-        vals.append(face_c[mask] / h2)
-
-    # +x neighbor: face between (i,j) and (i+1,j) viewed from row (i,j)
-    couple(cfx, (slice(0, n - 1), slice(None)), (slice(1, n), slice(None)))
-    # -x neighbor
-    couple(cfx, (slice(1, n), slice(None)), (slice(0, n - 1), slice(None)))
-    # +y neighbor
-    couple(cfy, (slice(None), slice(0, n - 1)), (slice(None), slice(1, n)))
-    # -y neighbor
-    couple(cfy, (slice(None), slice(1, n)), (slice(None), slice(0, n - 1)))
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n * n, n * n)).tocsr()
-    # Diagonal: negative sum of the off-diagonal couplings (conservation),
-    # then identity rows on the boundary ring.
-    diag = -np.asarray(mat.sum(axis=1)).reshape(-1)
-    diag[grid.boundary_index] = 1.0
-    mat = mat + sp.diags(diag)
-    return EllipticOperator(grid=grid, omega=omega, matrix=mat.tocsc())
+    m = pat.inner.size
+    table = np.empty((m, 5), dtype=complex)
+    table[:, :2] = e[:, :2]
+    table[:, 3:] = e[:, 2:]
+    # This summation order reproduces, bit for bit, the row sums of the
+    # reference COO assembly (see tests/helpers.py).
+    table[:, 2] = -(((e[:, 1] + e[:, 2]) + e[:, 3]) + e[:, 0])
+    values = table.reshape(-1)
+    block = sp.csc_matrix((values[pat.block_take], pat.block_indices, pat.block_indptr), shape=(m, m))
+    coupling = sp.csr_matrix(
+        (values[pat.coupling_take], pat.coupling_indices, pat.coupling_indptr),
+        shape=(m, grid.boundary_index.size),
+    )
+    norm = max(1.0, float(np.max(np.abs(table).sum(axis=1))))
+    return EllipticOperator(grid, omega, block, coupling, norm)
 
 
 def apply_div_coeff_grad(grid: Grid, coeff: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -215,59 +256,55 @@ def apply_div_coeff_grad(grid: Grid, coeff: np.ndarray, f: np.ndarray) -> np.nda
 def solve_dirichlet(
     op: EllipticOperator, bc: np.ndarray, src: np.ndarray | None = None
 ) -> np.ndarray:
-    """Solve the assembled system with boundary values ``bc`` and source ``src``.
+    """Solve the Dirichlet problem with boundary values ``bc`` and source ``src``.
 
     ``bc`` is indexed like ``grid.boundary_index``, either one column of
     shape (nb,) or m columns of shape (nb, m); ``src`` is a nodal field of
     shape (n, n) or (n, n, m) whose values on the boundary ring are ignored.
     The result has shape (n, n) or (n, n, m) accordingly.  It reproduces
-    ``bc`` exactly and, column by column, satisfies the full assembled
-    system with normwise relative residual ``|Ax-b| / (|A| |x| + |b|)``
-    below SOLVE_RTOL.  Only the interior unknowns are factored; the
-    boundary values enter through the residual against ``op.matrix``.  One
-    refinement sweep always runs and a second runs if some column misses
-    the tolerance, before a SolverError reports the worst column's residual.
+    ``bc`` exactly and, column by column, satisfies the full system with
+    normwise relative residual ``|Ax-b| / (|A| |x| + |b|)`` below
+    SOLVE_RTOL, where ``|x|`` and ``|b|`` include the boundary values.  Only
+    the interior unknowns are solved for: the boundary values enter once,
+    through ``c = b_I - A_IB bc``, and each refinement sweep corrects
+    ``x_I`` by the factored solve of ``c - A_II x_I``.  One refinement sweep
+    always runs and a second runs if some column misses the tolerance,
+    before a SolverError reports the worst column's residual.
     """
     grid = op.grid
+    inner = operator_pattern(grid.n).inner
     bc = np.asarray(bc, dtype=complex)
-    b = np.zeros((grid.num_nodes,) + bc.shape[1:], dtype=complex)
-    if src is not None:
-        b[:] = np.asarray(src, dtype=complex).reshape(b.shape)
-    b[grid.boundary_index] = bc
-    if not np.all(np.isfinite(b)):
+    columns = bc.shape[1:]
+    if src is None:
+        b = np.zeros((inner.size,) + columns, dtype=complex)
+    else:
+        b = np.asarray(src, dtype=complex).reshape((grid.num_nodes,) + columns)[inner]
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(bc))):
         raise ValueError("non-finite right-hand side")
 
     lu = op.factorization()
-    inner = op.unknowns
-    norm_b = np.linalg.norm(b, axis=0)
-
-    def backward_error(x, r):
-        scale = op.norm_inf() * np.linalg.norm(x, axis=0) + norm_b
-        return float(np.max(np.linalg.norm(r, axis=0) / np.maximum(scale, 1e-300)))
-
-    def sweep(x):
-        # Boundary rows of the residual vanish exactly (identity rows), so
-        # only interior values are corrected and the boundary stays exact.
-        r = b - op.matrix @ x
-        x[inner] += lu.solve(r[inner])
-
-    x = np.zeros_like(b)
-    x[grid.boundary_index] = bc
-    sweep(x)
+    norm_bc = np.linalg.norm(bc, axis=0)
+    norm_b = np.hypot(np.linalg.norm(b, axis=0), norm_bc)
+    c = b - op.coupling @ bc
+    x = lu.solve(c)
+    r = c - op.block @ x
     # One iterative-refinement sweep is always applied: it is cheap next to
     # the factorization and pushes the solution error to O(cond * machine),
     # which several scale-invariance contracts downstream rely on.
-    sweep(x)
-    residual = backward_error(x, b - op.matrix @ x)
-    if not np.isfinite(residual) or residual > SOLVE_RTOL:
-        sweep(x)
-        residual = backward_error(x, b - op.matrix @ x)
-        if not np.isfinite(residual) or residual > SOLVE_RTOL:
-            raise SolverError(
-                f"linear solve residual {residual:.3e} exceeds tolerance {SOLVE_RTOL:.1e}",
-                residual=residual,
-            )
-    return x.reshape(grid.shape + bc.shape[1:])
+    for _ in range(2):
+        x += lu.solve(r)
+        r = c - op.block @ x
+        scale = op.norm * np.hypot(np.linalg.norm(x, axis=0), norm_bc) + norm_b
+        residual = float(np.max(np.linalg.norm(r, axis=0) / np.maximum(scale, 1e-300)))
+        if np.isfinite(residual) and residual <= SOLVE_RTOL:
+            out = np.empty((grid.num_nodes,) + columns, dtype=complex)
+            out[inner] = x
+            out[grid.boundary_index] = bc
+            return out.reshape(grid.shape + columns)
+    raise SolverError(
+        f"linear solve residual {residual:.3e} exceeds tolerance {SOLVE_RTOL:.1e}",
+        residual=residual,
+    )
 
 
 def solve_forward(op: EllipticOperator, phi: BoundaryData) -> PotentialPair:

@@ -10,12 +10,13 @@ import math
 from typing import Any
 
 import numpy as np
+import scipy.sparse as sp
 
 from mfeit import PhantomSpec, Inclusion
 from mfeit.initguess import DEFAULT_PINV_TOL, _log_bc, _warn_branch, fold_imag, gamma_rhs
 from mfeit.landweber import GenericProblem, LandweberConfig, run
-from mfeit.mesh import Grid, h1_inner, h1_norm_sq, l2_norm_sq, laplacian
-from mfeit.objective import Dataset, bump_profile, dF, forward_states
+from mfeit.mesh import Grid, face_diff_x, face_diff_y, h1_norm_sq, l2_norm_sq, laplacian
+from mfeit.objective import Dataset, FrequencyGrid, bump_profile, dF, forward_states
 from mfeit.pde import AdmittivityField, PotentialPair, SolverError, assemble, solve_forward, solve_poisson
 
 
@@ -79,6 +80,72 @@ def linear_oracle(seed: int = 321, n_mats: int = 3, dim: int = 5):
     return problem, x_star, mu
 
 
+def assemble_matrix(a: AdmittivityField, omega: float) -> sp.csc_matrix:
+    """Full n^2 x n^2 matrix of ``assemble``, built independently through COO.
+
+    Interior rows hold the face couplings and their negated row sum on the
+    diagonal; boundary rows are identity rows.  This is the reference the
+    pattern-filled interior block and boundary coupling are compared with.
+    """
+    grid = a.grid
+    n = grid.n
+    h2 = grid.h * grid.h
+    coeff = a.admittivity(omega)
+
+    # Face coefficients between node (i,j) and its +x / +y neighbors.
+    cfx = 0.5 * (coeff[:-1, :] + coeff[1:, :])  # (n-1, n)
+    cfy = 0.5 * (coeff[:, :-1] + coeff[:, 1:])  # (n, n-1)
+
+    idx = np.arange(n * n).reshape(n, n)
+    inner = ~grid.boundary_mask
+
+    rows, cols, vals = [], [], []
+
+    def couple(face_c, rc, cc):
+        mask = inner[rc]
+        rows.append(idx[rc][mask])
+        cols.append(idx[cc][mask])
+        vals.append(face_c[mask] / h2)
+
+    # +x neighbor: face between (i,j) and (i+1,j) viewed from row (i,j)
+    couple(cfx, (slice(0, n - 1), slice(None)), (slice(1, n), slice(None)))
+    # -x neighbor
+    couple(cfx, (slice(1, n), slice(None)), (slice(0, n - 1), slice(None)))
+    # +y neighbor
+    couple(cfy, (slice(None), slice(0, n - 1)), (slice(None), slice(1, n)))
+    # -y neighbor
+    couple(cfy, (slice(None), slice(1, n)), (slice(None), slice(0, n - 1)))
+
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n * n, n * n)).tocsr()
+    # Diagonal: negative sum of the off-diagonal couplings (conservation),
+    # then identity rows on the boundary ring.
+    diag = -np.asarray(mat.sum(axis=1)).reshape(-1)
+    diag[grid.boundary_index] = 1.0
+    mat = mat + sp.diags(diag)
+    return mat.tocsc()
+
+
+def h1_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex:
+    """Discrete H1 inner product ``<a, b>`` (conjugate-linear in b)."""
+    h2 = grid.h * grid.h
+    acc = np.sum(a * np.conj(b))
+    acc += np.sum(face_diff_x(grid, a) * np.conj(face_diff_x(grid, b)))
+    acc += np.sum(face_diff_y(grid, a) * np.conj(face_diff_y(grid, b)))
+    return complex(h2 * acc)
+
+
+def index_of(freqs: FrequencyGrid, omega: float) -> int:
+    """Position of ``omega`` among the quadrature nodes; KeyError if it is none of them."""
+    hits = np.flatnonzero(np.isclose(freqs.nodes, omega, rtol=1e-12, atol=1e-12))
+    if hits.size == 0:
+        raise KeyError(f"frequency {omega} is not a quadrature node")
+    return int(hits[0])
+
+
 def pair_distance(a: AdmittivityField, b: AdmittivityField) -> float:
     """L2 distance between two admittivity fields over both components."""
     grid = a.grid
@@ -127,7 +194,7 @@ def adjoint_mismatch(p: GenericProblem, x, h, ys: list[Any]) -> float:
 
 def residual_F(a: AdmittivityField, omega: float, data: Dataset) -> PotentialPair:
     """Forward solve at one frequency minus the stored measurement."""
-    k = data.freqs.index_of(omega)
+    k = index_of(data.freqs, omega)
     u = solve_forward(assemble(a, omega), data.boundary_data(k))
     meas = data.potentials[k]
     return PotentialPair(u.u1 - meas.u1, u.u2 - meas.u2)

@@ -266,6 +266,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="refinement"):
             parse_config_text("[data]\nrefinement = 5\n")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[landweber]\nlambda_min = nan\n", "lambda_min"),
+            ("[landweber]\nmu = nan\n", "mu"),
+            ("[landweber]\nmu = inf\n", "mu"),
+            ("[landweber]\nstop_tol = nan\n", "stop_tol"),
+            ("[initguess]\npinv_tol = nan\n", "pinv_tol"),
+            ("[initguess]\npinv_tol = -1\n", "pinv_tol"),
+            ("[initguess]\npinv_tol = 0\n", "pinv_tol"),
+            ("[landweber]\nlog_every = -1\n", "log_every"),
+            ("[noise]\nlevel = nan\n", "level"),
+            ("[admissible]\nc4 = inf\n", "c4"),
+            ("[frequencies]\nomega_hi = inf\n", "omega_hi"),
+            ("[phantom]\ninclusions =\n    0.5 0.5 0.15 nan 0.1\n", "inclusions"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_value_names_key(self, text, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(text)
+
     def test_malformed_inclusion_line(self):
         with pytest.raises(ConfigError, match="inclusions"):
             parse_config_text("[phantom]\ninclusions =\n    0.5 0.5 0.15\n")
@@ -324,6 +345,25 @@ class TestCli:
         assert main(["init-guess", "--config", str(path), "--data", data_dir]) == 0
         sigma, _ = read_field(str(tmp_path / "out" / "sigma_init"))
         assert sigma.shape == (17, 17)
+
+    def test_reconstruct_reuses_start_factorizations(self, tmp_path, monkeypatch):
+        # init guess 1 + coverage 9 + step-size estimate 9 + 9 per step
+        # after the first, which reuses the estimate's forward states
+        import scipy.sparse.linalg as spla
+
+        iters = 2
+        cfg = RunConfig(n=17, c0=0.2, refinement=1, phantom=ONE_BUMP, max_iters=iters,
+                        stop_tol=0.0, allow_low_coverage=True, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "run.cfg"
+        path.write_text(serialize_config(cfg))
+        assert main(["simulate", "--config", str(path)]) == 0
+        calls = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+        data_dir = str(tmp_path / "out" / "dataset")
+        assert main(["reconstruct", "--config", str(path), "--data", data_dir]) == 0
+        assert cfg.mu is None and cfg.n_freq == 9
+        assert len(calls) == 9 * (iters + 1) + 1
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

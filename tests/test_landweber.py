@@ -14,6 +14,7 @@ from mfeit.landweber import (
     step,
 )
 from mfeit.initguess import initial_guess
+from mfeit.objective import forward_states
 from mfeit.pde import AdmittivityField, constant_field
 from mfeit.phantom import make_phantom, synthesize_data
 
@@ -81,7 +82,7 @@ def test_step_mu_zero_returns_projection(bump_setup):
 def test_step_descends_from_background(bump_setup):
     data, cfg, _, _ = bump_setup
     x0 = constant_field(data.grid, 1.0, 1.0)
-    mu = estimate_step_size(x0, data, cfg.admissible)
+    mu = estimate_step_size(data.grid, forward_states(project_T(x0, cfg.admissible), data))
     safe = find_mu_safe(x0, data, LandweberConfig(admissible=cfg.admissible), mu_start=mu)
     lcfg = LandweberConfig(admissible=cfg.admissible, mu=safe, max_iters=2, stop_tol=0.0)
     _, recs = run(x0, data, lcfg)

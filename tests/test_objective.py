@@ -16,7 +16,7 @@ from mfeit.pde import AdmittivityField, assemble, constant_field, solve_forward
 from mfeit.phantom import add_noise, make_phantom, synthesize_data
 from mfeit.admissible import project_T
 
-from helpers import ONE_BUMP, pairing_dF_route, residual_F
+from helpers import ONE_BUMP, index_of, pairing_dF_route, residual_F
 from mfeit import RunConfig
 
 
@@ -53,9 +53,9 @@ class TestFrequencyGrid:
 
     def test_index_lookup(self):
         f = FrequencyGrid.uniform(1.0, 2.0, 5)
-        assert f.index_of(float(f.nodes[2])) == 2
+        assert index_of(f, float(f.nodes[2])) == 2
         with pytest.raises(KeyError):
-            f.index_of(1.23456)
+            index_of(f, 1.23456)
 
 
 class TestResidual:

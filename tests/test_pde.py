@@ -10,6 +10,7 @@ from mfeit.pde import (
     apply_div_coeff_grad,
     assemble,
     constant_field,
+    operator_pattern,
     solve_adjoint,
     solve_dirichlet,
     solve_forward,
@@ -17,7 +18,7 @@ from mfeit.pde import (
 )
 from mfeit.properbc import canonical_phi
 
-from helpers import TWO_BUMPS
+from helpers import TWO_BUMPS, assemble_matrix
 from mfeit.phantom import make_phantom
 
 
@@ -37,21 +38,21 @@ def smooth_field33():
 def test_assemble_constant_is_scaled_laplacian(grid17):
     g = grid17
     kappa = 2.0 + 1.5 * 1j * 0.75  # sigma0=2, eps0=1.5, omega=0.75
-    op = assemble(constant_field(g, 2.0, 1.5), 0.75)
-    ref = assemble(constant_field(g, 1.0, 1.0), 0.0)  # unit Laplacian
+    op = assemble_matrix(constant_field(g, 2.0, 1.5), 0.75)
+    ref = assemble_matrix(constant_field(g, 1.0, 1.0), 0.0)  # unit Laplacian
     inner = np.flatnonzero(~g.boundary_mask.reshape(-1))
-    diff = (op.matrix[inner] - kappa * ref.matrix[inner]).toarray()
+    diff = (op[inner] - kappa * ref[inner]).toarray()
     assert np.max(np.abs(diff)) < 1e-12 * abs(kappa) / g.h**2
     # boundary rows stay identity
-    bnd = op.matrix[g.boundary_index].toarray()
+    bnd = op[g.boundary_index].toarray()
     expected = np.zeros_like(bnd)
     expected[np.arange(len(g.boundary_index)), g.boundary_index] = 1.0
     assert np.array_equal(bnd, expected)
 
 
 def test_assemble_interior_row_sums_vanish(grid17):
-    op = assemble(constant_field(grid17, 1.0, 1.0), 1.3)
-    sums = np.asarray(op.matrix.sum(axis=1)).reshape(-1)
+    op = assemble_matrix(constant_field(grid17, 1.0, 1.0), 1.3)
+    sums = np.asarray(op.sum(axis=1)).reshape(-1)
     inner = ~grid17.boundary_mask.reshape(-1)
     assert np.max(np.abs(sums[inner])) < 1e-12 / grid17.h**2
     assert np.allclose(sums[grid17.boundary_index], 1.0)
@@ -59,12 +60,31 @@ def test_assemble_interior_row_sums_vanish(grid17):
 
 def test_assemble_interior_block_complex_symmetric(smooth_field33):
     a = smooth_field33
-    op = assemble(a, 1.7)
+    op = assemble_matrix(a, 1.7)
     inner = np.flatnonzero(~a.grid.boundary_mask.reshape(-1))
-    block = op.matrix[np.ix_(inner, inner)]
+    block = op[np.ix_(inner, inner)]
     asym = (block - block.T).toarray()
     assert np.max(np.abs(asym)) == 0.0
     assert np.max(np.abs(block.imag.toarray())) > 0.0  # genuinely complex, not Hermitian
+
+
+@pytest.mark.parametrize("n", [17, 33])
+@pytest.mark.parametrize("omega", [0.0, 1.7])
+def test_pattern_fill_matches_reference_bit_for_bit(n, omega):
+    # The diagonal is a floating-point sum of four couplings: only the
+    # reference's summation order reproduces its bits.
+    g = build_grid(n, 0.2)
+    h, k = random_smooth_pair(g, np.random.default_rng(n))
+    a = AdmittivityField(g, 1.0 + 0.3 * h, 1.0 + 0.3 * k)
+    op = assemble(a, omega)
+    inner = operator_pattern(n).inner
+    rows = assemble_matrix(a, omega)[inner].tocsr()
+    for got, ref in ((op.block, rows[:, inner].tocsc()),
+                     (op.coupling, rows[:, g.boundary_index].tocsr())):
+        ref.sort_indices()
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data.view(np.float64), ref.data.view(np.float64))
 
 
 def test_assemble_rejects_nonpositive_coefficients(grid17):
@@ -90,7 +110,7 @@ def test_apply_stencil_matches_matrix(smooth_field33):
     shift = 5.0 + float(np.max(np.abs(coeff))) * 2
     pos = AdmittivityField(g, coeff.real + shift, np.full(g.shape, 1.0))
     base = AdmittivityField(g, np.full(g.shape, shift), np.full(g.shape, 1.0))
-    lhs = (assemble(pos, 0.0).matrix - assemble(base, 0.0).matrix) @ f.reshape(-1)
+    lhs = (assemble_matrix(pos, 0.0) - assemble_matrix(base, 0.0)) @ f.reshape(-1)
     direct = apply_div_coeff_grad(g, coeff.real.astype(complex), f)
     inner = ~g.boundary_mask.reshape(-1)
     assert np.max(np.abs(lhs[inner] - direct.reshape(-1)[inner])) < 1e-9
@@ -113,7 +133,7 @@ def test_solve_dirichlet_discrete_manufactured(smooth_field33):
     g = a.grid
     u_star = (np.sin(np.pi * g.X) * np.sin(np.pi * g.Y)).astype(complex)
     op = assemble(a, 1.5)
-    src = (op.matrix @ u_star.reshape(-1)).reshape(g.shape)
+    src = (assemble_matrix(a, 1.5) @ u_star.reshape(-1)).reshape(g.shape)
     u = solve_dirichlet(op, g.trace(u_star), src)
     assert np.max(np.abs(u - u_star)) < 1e-9
 
@@ -164,10 +184,9 @@ def test_solve_adjoint_dense_lu_oracle(grid17):
     f1 = (np.sin(np.pi * g.X) * np.sin(np.pi * g.Y)).astype(complex)
     f = PotentialPair(f1, np.zeros_like(f1))
     p = solve_adjoint(assemble(a, 1.3), f)
-    op = assemble(a, 1.3)
     b = adjoint_rhs(g, f1).reshape(-1).astype(complex)
     b[g.boundary_index] = 0.0
-    p_dense = np.linalg.solve(op.matrix.toarray(), b).reshape(g.shape)
+    p_dense = np.linalg.solve(assemble_matrix(a, 1.3).toarray(), b).reshape(g.shape)
     assert np.max(np.abs(p.u1 - p_dense)) < 1e-10
 
 
@@ -231,13 +250,13 @@ def test_constant_coefficient_scale_invariance(grid17):
 def test_complex_symmetric_pairing(smooth_field33):
     a = smooth_field33
     g = a.grid
-    op = assemble(a, 1.3)
+    op = assemble_matrix(a, 1.3)
     rng = np.random.default_rng(7)
     f1, f2 = random_smooth_pair(g, rng)
     f1 = f1 * (1 + 0.5j)
     f2 = f2 * (0.3 - 0.2j)
-    af1 = op.matrix @ f1.reshape(-1)
-    af2 = op.matrix @ f2.reshape(-1)
+    af1 = op @ f1.reshape(-1)
+    af2 = op @ f2.reshape(-1)
     lhs = np.sum(af1 * f2.reshape(-1))
     rhs = np.sum(f1.reshape(-1) * af2)
     scale = max(abs(lhs), abs(rhs), 1.0)
