@@ -3,9 +3,7 @@
 from .mesh import Grid, build_grid, grad, div, laplacian
 from .pde import (
     AdmittivityField,
-    BoundaryData,
     EllipticOperator,
-    PotentialPair,
     SolverError,
     assemble,
     constant_field,
@@ -19,7 +17,6 @@ from .properbc import CoverageMap, canonical_phi, coverage_lambda, det_gradient_
 from .objective import (
     Dataset,
     FrequencyGrid,
-    GradientPair,
     dF,
     gradient_DJ,
     misfit_J,

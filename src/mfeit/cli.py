@@ -33,18 +33,23 @@ from .phantom import add_noise, make_phantom, phantom_id, synthesize_data
 from .properbc import canonical_phi, coverage_lambda
 
 
-def _load_or_synthesize(cfg: RunConfig, data_dir: str | None) -> Dataset:
-    if data_dir is not None:
-        data = fieldio.read_dataset(data_dir)
-        if data.grid.n != cfg.n or abs(data.grid.c0 - cfg.c0) > 1e-12:
-            raise ConfigError(
-                f"dataset grid (n={data.grid.n}, c0={data.grid.c0}) "
-                f"does not match config (n={cfg.n}, c0={cfg.c0})"
-            )
-        return data
+def _synthesize(cfg: RunConfig) -> Dataset:
+    """The config phantom's dataset, with the configured noise added."""
     data = synthesize_data(cfg.phantom, cfg)
     if cfg.noise_level > 0.0:
         data = add_noise(data, cfg.noise_level, cfg.noise_seed)
+    return data
+
+
+def _load_or_synthesize(cfg: RunConfig, data_dir: str | None) -> Dataset:
+    if data_dir is None:
+        return _synthesize(cfg)
+    data = fieldio.read_dataset(data_dir)
+    if data.grid.n != cfg.n or abs(data.grid.c0 - cfg.c0) > 1e-12:
+        raise ConfigError(
+            f"dataset grid (n={data.grid.n}, c0={data.grid.c0}) "
+            f"does not match config (n={cfg.n}, c0={cfg.c0})"
+        )
     return data
 
 
@@ -55,9 +60,7 @@ def _outdir(cfg: RunConfig, args) -> str:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    data = synthesize_data(cfg.phantom, cfg)
-    if cfg.noise_level > 0.0:
-        data = add_noise(data, cfg.noise_level, cfg.noise_seed)
+    data = _synthesize(cfg)
     out = _outdir(cfg, args)
     target = os.path.join(out, "dataset")
     fieldio.write_dataset(target, data)
@@ -135,12 +138,11 @@ def cmd_check_gradient(cfg: RunConfig, args) -> int:
     t = 1e-5
     worst = 0.0
     for i in range(args.directions):
-        h, k = random_smooth_pair(grid, rng)
-        scale = np.sqrt(l2_norm_sq(grid, h) + l2_norm_sq(grid, k))
-        h, k = h / scale, k / scale
-        predicted = directional_derivative(grid, g, h, k)
-        a_plus = AdmittivityField(grid, a.sigma + t * h, a.eps + t * k)
-        a_minus = AdmittivityField(grid, a.sigma - t * h, a.eps - t * k)
+        d = random_smooth_pair(grid, rng)
+        d = d / np.sqrt(l2_norm_sq(grid, d[0]) + l2_norm_sq(grid, d[1]))
+        predicted = directional_derivative(grid, g, d)
+        a_plus = AdmittivityField(grid, a.sigma + t * d[0], a.eps + t * d[1])
+        a_minus = AdmittivityField(grid, a.sigma - t * d[0], a.eps - t * d[1])
         fd = (misfit_J(a_plus, data) - misfit_J(a_minus, data)) / (2.0 * t)
         rel = abs(predicted - fd) / max(abs(fd), 1e-300)
         worst = max(worst, rel)

@@ -73,6 +73,8 @@ class RunConfig:
             raise ConfigError(f"[landweber] x0 must be 'initguess' or 'background', got {self.x0!r}")
         if self.noise_level < 0.0:
             raise ConfigError("[noise] level must be nonnegative")
+        if self.noise_seed < 0:
+            raise ConfigError(f"[noise] seed must be nonnegative, got {self.noise_seed}")
         if self.pinv_tol <= 0.0:
             raise ConfigError(f"[initguess] pinv_tol must be positive, got {self.pinv_tol!r}")
         if self.log_every < 0:
@@ -136,6 +138,8 @@ def _parse_inclusions(raw: str) -> list[Inclusion]:
         if not all(math.isfinite(v) for v in values):
             raise ConfigError(f"[phantom] inclusions: non-finite entry in {line!r}")
         cx, cy, radius, dsigma, deps = values
+        if radius <= 0.0:
+            raise ConfigError(f"[phantom] inclusions: radius must be positive in {line!r}")
         out.append(Inclusion(cx, cy, radius, dsigma, deps))
     return out
 

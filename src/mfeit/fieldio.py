@@ -19,7 +19,6 @@ import numpy as np
 from .landweber import IterationRecord
 from .mesh import Grid, build_grid
 from .objective import Dataset, FrequencyGrid
-from .pde import PotentialPair
 
 
 def _fmt(value) -> str:
@@ -109,7 +108,7 @@ def write_dataset(directory: str, data: Dataset) -> None:
     with open(os.path.join(directory, "manifest.cfg"), "w", encoding="utf-8") as fh:
         cp.write(fh)
     for k, pair in enumerate(data.potentials):
-        for c, u in enumerate(pair.components, start=1):
+        for c, u in enumerate(pair, start=1):
             write_field(os.path.join(directory, f"u_{k:03d}_c{c}"), u, grid)
 
 
@@ -148,10 +147,10 @@ def read_dataset(directory: str) -> Dataset:
                 raise ValueError(f"{base}.meta: n = {u.shape[0]} differs from the manifest's n = {grid.n}")
             if not np.all(np.isfinite(u)):
                 raise ValueError(f"{base}.f64: non-finite values")
-            if k > 0 and not np.array_equal(grid.trace(u), grid.trace(potentials[0].components[c - 1])):
+            if k > 0 and not np.array_equal(grid.trace(u), grid.trace(potentials[0][c - 1])):
                 raise ValueError(f"{base}.f64: boundary trace differs from frequency 0's")
             pair.append(u)
-        potentials.append(PotentialPair(*pair))
+        potentials.append(np.stack(pair))
     return Dataset(grid=grid, freqs=freqs, potentials=potentials, metadata=metadata)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .admissible import AdmissibleParams, project_T
 from .mesh import Grid, div, grad
 from .objective import Dataset, map_frequencies
-from .pde import AdmittivityField, PotentialPair, solve_poisson
+from .pde import AdmittivityField, solve_poisson
 
 logger = logging.getLogger(__name__)
 
@@ -44,15 +44,16 @@ def pinv2x2(m: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
     return np.einsum("...ji,...j,...kj->...ik", np.conj(vh), s_inv, np.conj(u))
 
 
-def gamma_rhs(grid: Grid, u: PotentialPair, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
+def gamma_rhs(grid: Grid, u: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
     """Right-hand side of the log-admittivity Poisson equation.
 
-    Per node: A has rows grad(u1), grad(u2); s is the row-wise divergence
+    Per node: A has rows grad(u[0]), grad(u[1]) of the measured pair u,
+    shape (2, n, n); s is the row-wise divergence
     of A; the nodal vector is ``-(conj(A) A^T)^+ conj(A) s`` and the field
     value is the divergence of that vector field.
     """
-    g1 = grad(grid, u.u1)
-    g2 = grad(grid, u.u2)
+    g1 = grad(grid, u[0])
+    g2 = grad(grid, u[1])
     a = np.stack([g1, g2], axis=-2)  # (n, n, row, col)
     s = np.stack([div(grid, g1), div(grid, g2)], axis=-1)
     b = np.einsum("...ij,...kj->...ik", np.conj(a), a)  # conj(A) @ A^T
@@ -100,11 +101,11 @@ def compute_gammas(data: Dataset, sigma0: float, eps0: float, tol: float = DEFAU
     grid = data.grid
     omegas = [float(w) for w in data.freqs.nodes]
     rhs = map_frequencies(lambda u: gamma_rhs(grid, u, tol), data.potentials)
-    bc = np.stack([_log_bc(grid, w, sigma0, eps0) for w in omegas], axis=-1)
-    solved = solve_poisson(grid, np.stack(rhs, axis=-1), bc)
+    bc = np.stack([_log_bc(grid, w, sigma0, eps0) for w in omegas])
+    solved = solve_poisson(grid, np.stack(rhs), bc)
     gammas, violations = [], []
-    for k, omega in enumerate(omegas):
-        gamma, v = fold_imag(solved[..., k])
+    for omega, column in zip(omegas, solved):
+        gamma, v = fold_imag(column)
         _warn_branch(v, omega)
         gammas.append(gamma)
         violations.append(v)

@@ -8,11 +8,11 @@ raw iterates may transiently leave the admissible set.  The deviation
 introduced by the projection is recorded at every step.
 
 The loop sees only a ``GenericProblem`` (residual evaluation, adjoint
-direction, projection, inner products).  ``run`` is the reconstruction
-entry point: it resolves the automatic step size and runs the loop on
-``admittivity_problem``, the multi-frequency misfit posed on stacked
-(sigma, eps) arrays.  The same loop is validated against a dense linear
-least-squares oracle.
+direction, projection, inner product and residual norm).  ``run`` is the
+reconstruction entry point: it resolves the automatic step size and runs
+the loop on ``admittivity_problem``, the multi-frequency misfit posed on
+stacked (sigma, eps) arrays.  The same loop is validated against a dense
+linear least-squares oracle.
 """
 
 from __future__ import annotations
@@ -92,18 +92,16 @@ def estimate_step_size(grid: Grid, states: list[ForwardState]) -> float:
     interior direction (seed 0) and returns ``0.9 / L`` for the Rayleigh
     quotient L at the last iterate.
     """
-    rng = np.random.default_rng(0)
-    h, k = random_smooth_pair(grid, rng)
-    nrm = math.sqrt(l2_norm_sq(grid, h) + l2_norm_sq(grid, k))
-    h, k = h / nrm, k / nrm
+    d = random_smooth_pair(grid, np.random.default_rng(0))
+    d = d / math.sqrt(l2_norm_sq(grid, d[0]) + l2_norm_sq(grid, d[1]))
     lam = 0.0
     for _ in range(8):
-        nd = gauss_newton_apply(grid, states, h, k)
-        lam = directional_derivative(grid, nd, h, k)
-        nrm = math.sqrt(l2_norm_sq(grid, nd.g_sigma) + l2_norm_sq(grid, nd.g_eps))
+        nd = gauss_newton_apply(grid, states, d)
+        lam = directional_derivative(grid, nd, d)
+        nrm = math.sqrt(l2_norm_sq(grid, nd[0]) + l2_norm_sq(grid, nd[1]))
         if nrm == 0.0:
             break
-        h, k = nd.g_sigma / nrm, nd.g_eps / nrm
+        d = nd / nrm
     if lam <= 0.0:
         raise SolverError("power iteration failed to produce a positive norm estimate")
     return 0.9 / lam
@@ -118,23 +116,19 @@ class GenericProblem:
     """Abstract residual problem driven by the projected iteration.
 
     ``residuals(x)`` returns one residual per quadrature node,
-    ``adjoint_step(x, residuals)`` the weighted adjoint-direction sum
-    (already including quadrature weights), ``project`` the feasibility
-    map, and the inner products define the norms used in the misfit and the
-    diagnostics.  ``norm_sq_y(r)``, when provided, is the squared residual
-    norm of the misfit in place of ``inner_y(r, r)``, for residual objects
-    whose norm has a formula of its own.  ``derivative(x, h)``, when
-    provided, enables adjoint-consistency probing.
+    ``adjoint_step(residuals)`` the weighted adjoint-direction sum at the
+    point the residuals were evaluated at (already including quadrature
+    weights), ``project`` the feasibility map, ``inner_x`` the inner
+    product of iterates used in the diagnostics and ``norm_sq_y(r)`` the
+    squared residual norm of the misfit (by default ``Re<r, r>``).
     """
 
     residuals: Callable[[Any], list[Any]]
-    adjoint_step: Callable[[Any, list[Any]], Any]
+    adjoint_step: Callable[[list[Any]], Any]
     weights: np.ndarray
     project: Callable[[Any], Any] = lambda x: x
     inner_x: Callable[[Any, Any], float] = _default_inner
-    inner_y: Callable[[Any, Any], float] = _default_inner
-    norm_sq_y: Callable[[Any], float] | None = None
-    derivative: Callable[[Any, Any], list[Any]] | None = None
+    norm_sq_y: Callable[[Any], float] = lambda r: _default_inner(r, r)
 
 
 def stack_field(a: AdmittivityField) -> np.ndarray:
@@ -146,22 +140,19 @@ def admittivity_problem(data: Dataset, params: AdmissibleParams) -> GenericProbl
     """The multi-frequency misfit as a ``GenericProblem`` on stacked (sigma, eps).
 
     Iterates are arrays of shape (2, n, n).  The residuals are the
-    per-frequency forward states, so the adjoint direction reuses their
-    factorizations; their squared norm is the H1 residual norm of the
-    misfit, and ``inner_x`` is the L2 inner product over both components.
+    per-frequency forward states, so the adjoint direction (the gradient,
+    in the same (2, n, n) layout) reuses their factorizations; their squared
+    norm is the H1 residual norm of the misfit, and ``inner_x`` is the L2
+    inner product over both components.
     """
     grid = data.grid
 
     def as_field(x) -> AdmittivityField:
         return AdmittivityField(grid, x[0], x[1])
 
-    def gradient(x, states) -> np.ndarray:
-        g = gradient_from_states(grid, states)
-        return np.stack((g.g_sigma, g.g_eps))
-
     return GenericProblem(
         residuals=lambda x: forward_states(as_field(x), data),
-        adjoint_step=gradient,
+        adjoint_step=gradient_from_states,
         weights=data.freqs.weights,
         project=lambda x: stack_field(project_T(as_field(x), params)),
         inner_x=lambda a, b: sum(grid.h * grid.h * float(np.sum(u * v)) for u, v in zip(a, b)),
@@ -180,11 +171,10 @@ def step(p: GenericProblem, x, mu: float, truth=None) -> tuple[Any, IterationRec
     def norm_x(v) -> float:
         return math.sqrt(p.inner_x(v, v))
 
-    norm_sq_y = p.norm_sq_y or (lambda r: p.inner_y(r, r))
     xp = p.project(x)
     res = p.residuals(xp)
-    j_val = 0.5 * sum(float(w) * norm_sq_y(r) for w, r in zip(p.weights, res))
-    direction = p.adjoint_step(xp, res)
+    j_val = 0.5 * sum(float(w) * p.norm_sq_y(r) for w, r in zip(p.weights, res))
+    direction = p.adjoint_step(res)
     x_next = xp - mu * direction
     err = norm_x(x_next - truth) if truth is not None else float("nan")
     return x_next, IterationRecord(0, j_val, norm_x(direction), err, norm_x(xp - x))

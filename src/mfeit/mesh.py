@@ -7,7 +7,10 @@ varies along axis 0 and y along axis 1.  Row-major flattening
 operators, boundary indexing, and file output.
 
 Vector fields carry their two components in a trailing axis of length 2:
-``v[..., 0]`` is the x component, ``v[..., 1]`` the y component.
+``v[..., 0]`` is the x component, ``v[..., 1]`` the y component.  A pair
+of scalar fields (two potentials, a (sigma, eps) gradient or direction)
+is instead a stack of shape (2, n, n); ``Grid.trace``, ``laplacian`` and
+``restrict_injection`` read the last two axes and accept such stacks.
 
 Two families of difference operators live here:
 
@@ -67,8 +70,12 @@ class Grid:
         return self.n * self.n
 
     def trace(self, f: np.ndarray) -> np.ndarray:
-        """Values of a nodal field on the boundary ring, in boundary order."""
-        return np.ascontiguousarray(f).reshape(-1)[self.boundary_index]
+        """Values of a nodal field on the boundary ring, in boundary order.
+
+        Reads the last two axes, so a stack of fields (m, n, n) gives a
+        stack of traces (m, nb).
+        """
+        return np.reshape(f, np.shape(f)[:-2] + (-1,))[..., self.boundary_index]
 
     def boundary_distance(self) -> np.ndarray:
         """Distance of every node to the boundary of the unit square."""
@@ -118,11 +125,10 @@ def restrict_injection(fine: np.ndarray, factor: int) -> np.ndarray:
     """Restrict a fine-grid field to the coarse grid by node injection.
 
     Requires the fine grid to be a ``factor``-refinement of the coarse one
-    so that coarse nodes coincide with every ``factor``-th fine node.
+    so that coarse nodes coincide with every ``factor``-th fine node.  Reads
+    the last two axes.
     """
-    if factor == 1:
-        return fine.copy()
-    return fine[::factor, ::factor].copy()
+    return fine[..., ::factor, ::factor].copy()
 
 
 def _d_axis(f: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -149,12 +155,14 @@ def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """5-point Laplacian on interior nodes; the boundary ring is zero-filled.
 
     Only interior values are meaningful; callers that need boundary
-    derivatives must compose ``div(grad(.))`` instead.
+    derivatives must compose ``div(grad(.))`` instead.  Reads the last two
+    axes.
     """
     out = np.zeros_like(f)
     h2 = grid.h * grid.h
-    out[1:-1, 1:-1] = (
-        f[2:, 1:-1] + f[:-2, 1:-1] + f[1:-1, 2:] + f[1:-1, :-2] - 4.0 * f[1:-1, 1:-1]
+    out[..., 1:-1, 1:-1] = (
+        f[..., 2:, 1:-1] + f[..., :-2, 1:-1] + f[..., 1:-1, 2:] + f[..., 1:-1, :-2]
+        - 4.0 * f[..., 1:-1, 1:-1]
     ) / h2
     return out
 

@@ -19,6 +19,11 @@ and both match finite differences of the misfit up to Taylor truncation.
 Misfit, gradient and normal operator share one factorization per frequency
 through the ``ForwardState`` list; the gradient and the normal operator
 share the face-density reduction ``reduce_densities``.
+
+Every pair is a plain array with its component on the leading axis:
+potentials, residuals and linearized states (one per trace component) have
+shape (2, n, n), and so do gradient densities and perturbation directions,
+whose components are (sigma, eps) -- the layout of the Landweber iterates.
 """
 
 from __future__ import annotations
@@ -32,9 +37,7 @@ import numpy as np
 from .mesh import Grid, h1_norm_sq
 from .pde import (
     AdmittivityField,
-    BoundaryData,
     EllipticOperator,
-    PotentialPair,
     apply_div_coeff_grad,
     assemble,
     solve_adjoint,
@@ -49,15 +52,21 @@ THREADS_ENV = "MFEIT_THREADS"
 def map_frequencies(fn, items):
     """Apply ``fn`` over frequency items, optionally threaded.
 
-    Results are collected in input order, so reductions downstream run in a
-    fixed deterministic order regardless of the thread count.
+    The thread count is read from ``MFEIT_THREADS`` (default 1) and must be
+    a positive integer; anything else raises a ValueError naming the
+    variable.  Results are collected in input order, so reductions
+    downstream run in a fixed deterministic order regardless of the thread
+    count.
     """
+    raw = os.environ.get(THREADS_ENV, "1")
     try:
-        nthreads = int(os.environ.get(THREADS_ENV, "1"))
+        nthreads = int(raw)
     except ValueError:
-        nthreads = 1
+        nthreads = 0
+    if nthreads < 1:
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
     items = list(items)
-    if nthreads <= 1 or len(items) <= 1:
+    if nthreads == 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=nthreads) as pool:
         return list(pool.map(fn, items))
@@ -118,7 +127,7 @@ class FrequencyGrid:
 
 @dataclass
 class Dataset:
-    """Measured internal potentials, one pair per frequency node.
+    """Measured internal potentials, one (2, n, n) pair per frequency node.
 
     The stored potentials equal the driving boundary traces exactly on the
     boundary ring, so the traces are recovered from the data itself.
@@ -126,29 +135,21 @@ class Dataset:
 
     grid: Grid
     freqs: FrequencyGrid
-    potentials: list[PotentialPair]
+    potentials: list[np.ndarray]
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.potentials) != self.freqs.nodes.size:
             raise ValueError("need exactly one potential pair per frequency node")
 
-    def boundary_data(self, k: int = 0) -> BoundaryData:
-        u = self.potentials[k]
-        return BoundaryData(self.grid.trace(u.u1), self.grid.trace(u.u2))
+    def boundary_data(self, k: int = 0) -> np.ndarray:
+        """The driving traces of frequency ``k``, shape (2, nb)."""
+        return self.grid.trace(self.potentials[k])
 
 
-@dataclass
-class GradientPair:
-    """Nodal gradient densities for (sigma, eps), supported in the interior region."""
-
-    g_sigma: np.ndarray
-    g_eps: np.ndarray
-
-
-def residual_norm_sq(grid: Grid, f_res: PotentialPair) -> float:
-    """Squared discrete H1 norm of a residual pair, both components."""
-    return h1_norm_sq(grid, f_res.u1) + h1_norm_sq(grid, f_res.u2)
+def residual_norm_sq(grid: Grid, f_res: np.ndarray) -> float:
+    """Squared discrete H1 norm of a residual pair, summed per component."""
+    return h1_norm_sq(grid, f_res[0]) + h1_norm_sq(grid, f_res[1])
 
 
 @dataclass
@@ -157,8 +158,8 @@ class ForwardState:
 
     weight: float
     op: EllipticOperator
-    u: PotentialPair
-    f_res: PotentialPair
+    u: np.ndarray
+    f_res: np.ndarray
 
 
 def forward_states(a: AdmittivityField, data: Dataset) -> list[ForwardState]:
@@ -168,9 +169,7 @@ def forward_states(a: AdmittivityField, data: Dataset) -> list[ForwardState]:
         omega = float(data.freqs.nodes[k])
         op = assemble(a, omega)
         u = solve_forward(op, data.boundary_data(k))
-        meas = data.potentials[k]
-        f_res = PotentialPair(u.u1 - meas.u1, u.u2 - meas.u2)
-        return ForwardState(float(data.freqs.weights[k]), op, u, f_res)
+        return ForwardState(float(data.freqs.weights[k]), op, u, u - data.potentials[k])
 
     return map_frequencies(one, range(data.freqs.nodes.size))
 
@@ -180,16 +179,17 @@ def misfit_J(a: AdmittivityField, data: Dataset) -> float:
     return 0.5 * sum(s.weight * residual_norm_sq(a.grid, s.f_res) for s in forward_states(a, data))
 
 
-def dF(op: EllipticOperator, h: np.ndarray, k: np.ndarray, u: PotentialPair) -> PotentialPair:
-    """Linearized forward map at ``op``'s frequency in direction (h, k), from the state ``u``."""
-    grid = op.grid
-    delta = h + 1j * op.omega * k
-    zero = np.zeros((len(grid.boundary_index), 2))
-    src = np.stack([-apply_div_coeff_grad(grid, delta, uc) for uc in u.components], axis=-1)
-    return PotentialPair.from_columns(solve_dirichlet(op, zero, src))
+def dF(op: EllipticOperator, d: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Linearized forward map at ``op``'s frequency from the state pair ``u``.
+
+    ``d`` is the (sigma, eps) direction, shape (2, n, n).
+    """
+    delta = d[0] + 1j * op.omega * d[1]
+    zero = np.zeros((len(u), len(op.grid.boundary_index)))
+    return solve_dirichlet(op, zero, -apply_div_coeff_grad(op.grid, delta, u))
 
 
-def face_density(grid: Grid, u: PotentialPair, p: PotentialPair) -> np.ndarray:
+def face_density(grid: Grid, u: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Nodal density of face-gradient products, summed over both components.
 
     Each face contributes the product of the face differences of state and
@@ -200,7 +200,7 @@ def face_density(grid: Grid, u: PotentialPair, p: PotentialPair) -> np.ndarray:
     """
     h = grid.h
     out = np.zeros(grid.shape, dtype=complex)
-    for uc, pc in zip(u.components, p.components):
+    for uc, pc in zip(u, p):
         sx = ((uc[1:, :] - uc[:-1, :]) / h) * ((pc[1:, :] - pc[:-1, :]) / h)
         sy = ((uc[:, 1:] - uc[:, :-1]) / h) * ((pc[:, 1:] - pc[:, :-1]) / h)
         out[:-1, :] += 0.5 * sx
@@ -210,47 +210,42 @@ def face_density(grid: Grid, u: PotentialPair, p: PotentialPair) -> np.ndarray:
     return out
 
 
-def reduce_densities(grid: Grid, states: list[ForwardState], adjoint_of) -> GradientPair:
+def reduce_densities(grid: Grid, states: list[ForwardState], adjoint_of) -> np.ndarray:
     """Quadrature of the face densities of each state with its adjoint ``adjoint_of(s)``.
 
-    The real part feeds ``sigma``, ``-omega`` times the imaginary part
-    ``eps`` (the expansion of the complex coefficient perturbation); both
-    are truncated to the interior region where perturbations live.
+    Returns the (sigma, eps) densities, shape (2, n, n): the real part
+    feeds ``sigma``, ``-omega`` times the imaginary part ``eps`` (the
+    expansion of the complex coefficient perturbation); both are truncated
+    to the interior region where perturbations live.
     """
     densities = map_frequencies(lambda s: face_density(grid, s.u, adjoint_of(s)), states)
-    g_sigma = np.zeros(grid.shape)
-    g_eps = np.zeros(grid.shape)
+    g = np.zeros((2,) + grid.shape)
     for s, dens in zip(states, densities):
-        g_sigma += s.weight * dens.real
-        g_eps += -s.weight * s.op.omega * dens.imag
-    g_sigma[~grid.interior_mask] = 0.0
-    g_eps[~grid.interior_mask] = 0.0
-    return GradientPair(g_sigma, g_eps)
+        g[0] += s.weight * dens.real
+        g[1] += -s.weight * s.op.omega * dens.imag
+    g[:, ~grid.interior_mask] = 0.0
+    return g
 
 
-def gradient_from_states(grid: Grid, states: list[ForwardState]) -> GradientPair:
-    """Adjoint-state gradient densities of the misfit from its forward states."""
-    return reduce_densities(grid, states, lambda s: solve_adjoint(s.op, s.f_res))
+def gradient_from_states(states: list[ForwardState]) -> np.ndarray:
+    """Adjoint-state (sigma, eps) gradient densities of the misfit from its forward states."""
+    return reduce_densities(states[0].op.grid, states, lambda s: solve_adjoint(s.op, s.f_res))
 
 
-def gradient_DJ(a: AdmittivityField, data: Dataset) -> GradientPair:
-    """Adjoint-state gradient densities of the misfit at ``a``."""
-    return gradient_from_states(a.grid, forward_states(a, data))
+def gradient_DJ(a: AdmittivityField, data: Dataset) -> np.ndarray:
+    """Adjoint-state (sigma, eps) gradient densities of the misfit at ``a``."""
+    return gradient_from_states(forward_states(a, data))
 
 
-def directional_derivative(
-    grid: Grid, g: GradientPair, h: np.ndarray, k: np.ndarray
-) -> float:
+def directional_derivative(grid: Grid, g: np.ndarray, d: np.ndarray) -> float:
     """Pairing of gradient densities with a perturbation direction (L2 weights)."""
-    return grid.h * grid.h * float(np.sum(h * g.g_sigma) + np.sum(k * g.g_eps))
+    return grid.h * grid.h * float(np.sum(d[0] * g[0]) + np.sum(d[1] * g[1]))
 
 
-def gauss_newton_apply(
-    grid: Grid, states: list[ForwardState], h: np.ndarray, k: np.ndarray
-) -> GradientPair:
+def gauss_newton_apply(grid: Grid, states: list[ForwardState], d: np.ndarray) -> np.ndarray:
     """Apply the frequency-summed normal operator (derivative composed with
     its adjoint) to a direction; used for step-size estimation."""
-    return reduce_densities(grid, states, lambda s: solve_adjoint(s.op, dF(s.op, h, k, s.u)))
+    return reduce_densities(grid, states, lambda s: solve_adjoint(s.op, dF(s.op, d, s.u)))
 
 
 def bump_profile(rho_sq: np.ndarray) -> np.ndarray:
@@ -260,17 +255,17 @@ def bump_profile(rho_sq: np.ndarray) -> np.ndarray:
 
 def random_smooth_pair(
     grid: Grid, rng: np.random.Generator, n_bumps: int = 3, margin: float = 0.02
-) -> tuple[np.ndarray, np.ndarray]:
-    """Random smooth direction pair supported strictly inside the interior region.
+) -> np.ndarray:
+    """Random smooth (sigma, eps) direction, shape (2, n, n).
 
-    Built from a few compactly supported radial bumps with randomized
-    centers, radii, and signs.  The geometry depends only on the random
-    draw, not on the grid, so the same seed produces the same continuum
-    direction across resolutions.
+    Supported strictly inside the interior region and built from a few
+    compactly supported radial bumps with randomized centers, radii, and
+    signs.  The geometry depends only on the random draw, not on the grid,
+    so the same seed produces the same continuum direction across
+    resolutions.
     """
-    fields = []
-    for _ in range(2):
-        f = np.zeros(grid.shape)
+    fields = np.zeros((2,) + grid.shape)
+    for f in fields:
         for _ in range(n_bumps):
             radius = rng.uniform(0.08, 0.18)
             lo = grid.c0 + radius + margin
@@ -279,5 +274,4 @@ def random_smooth_pair(
             amp = rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
             rho_sq = ((grid.X - cx) ** 2 + (grid.Y - cy) ** 2) / radius**2
             f += amp * bump_profile(rho_sq)
-        fields.append(f)
-    return fields[0], fields[1]
+    return fields

@@ -15,12 +15,17 @@ halves the fill of factoring the full system.  One factorization per
 (coefficient, frequency) pair is cached on the operator and shared by every
 right-hand side, including the adjoint problem, whose matrix is the same
 because the operator is complex-symmetric rather than Hermitian.
-``solve_dirichlet`` takes one or several columns at once and works on the
-interior unknowns only: the boundary values enter once, through ``A_IB``.
-The two trace components of a forward, adjoint or linearized solve go
-through it as one 2-column right-hand side.  Every column must meet the
-``SOLVE_RTOL`` backward-error gate of the full system, whose norms include
-the boundary values.
+``solve_dirichlet`` takes one or several columns at once, stacked on the
+leading axis, and works on the interior unknowns only: the boundary values
+enter once, through ``A_IB``.  Every column must meet the ``SOLVE_RTOL``
+backward-error gate of the full system, whose norms include the boundary
+values.
+
+A pair of quantities, one per boundary-trace component, is a plain array
+with the component on the leading axis: traces have shape (2, nb) and
+potentials, residuals and adjoint states shape (2, n, n).  A forward,
+adjoint or linearized solve therefore passes its pair straight to
+``solve_dirichlet`` as one 2-column right-hand side.
 """
 from __future__ import annotations
 
@@ -73,42 +78,6 @@ def constant_field(grid: Grid, sigma0: float, eps0: float) -> AdmittivityField:
     return AdmittivityField(
         grid, np.full(grid.shape, float(sigma0)), np.full(grid.shape, float(eps0))
     )
-
-
-@dataclass
-class BoundaryData:
-    """Dirichlet trace pair (phi1, phi2) indexed like ``grid.boundary_index``."""
-
-    phi1: np.ndarray
-    phi2: np.ndarray
-
-    def __post_init__(self):
-        self.phi1 = np.asarray(self.phi1)
-        self.phi2 = np.asarray(self.phi2)
-        if self.phi1.shape != self.phi2.shape or self.phi1.ndim != 1:
-            raise ValueError("boundary traces must be 1-d arrays of equal length")
-
-    @property
-    def components(self) -> tuple[np.ndarray, np.ndarray]:
-        return (self.phi1, self.phi2)
-
-
-@dataclass
-class PotentialPair:
-    """Two complex nodal potentials, one per boundary-trace component."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-
-    @property
-    def components(self) -> tuple[np.ndarray, np.ndarray]:
-        return (self.u1, self.u2)
-
-    @classmethod
-    def from_columns(cls, x: np.ndarray) -> "PotentialPair":
-        """Split a 2-column solution of shape (n, n, 2) into contiguous components."""
-        u1, u2 = np.moveaxis(x, -1, 0).copy()
-        return cls(u1, u2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,19 +206,20 @@ def apply_div_coeff_grad(grid: Grid, coeff: np.ndarray, f: np.ndarray) -> np.nda
 
     Returns ``div(coeff * grad(f))`` at non-boundary nodes (zero on the
     boundary ring) for an arbitrary, possibly sign-indefinite coefficient.
-    Bitwise consistent with the assembled matrix rows; linearizations of
-    the forward map rely on that exact agreement.
+    ``f`` is one nodal field (n, n) or a stack of them (m, n, n).  Bitwise
+    consistent with the assembled matrix rows; linearizations of the
+    forward map rely on that exact agreement.
     """
     h2 = grid.h * grid.h
     cfx = 0.5 * (coeff[:-1, :] + coeff[1:, :])
     cfy = 0.5 * (coeff[:, :-1] + coeff[:, 1:])
-    flux_x = cfx * (f[1:, :] - f[:-1, :])  # (n-1, n)
-    flux_y = cfy * (f[:, 1:] - f[:, :-1])  # (n, n-1)
-    out = np.zeros(grid.shape, dtype=np.result_type(coeff, f))
-    out[1:-1, :] = flux_x[1:, :] - flux_x[:-1, :]
-    out[:, 1:-1] += flux_y[:, 1:] - flux_y[:, :-1]
+    flux_x = cfx * (f[..., 1:, :] - f[..., :-1, :])  # (..., n-1, n)
+    flux_y = cfy * (f[..., :, 1:] - f[..., :, :-1])  # (..., n, n-1)
+    out = np.zeros(f.shape, dtype=np.result_type(coeff, f))
+    out[..., 1:-1, :] = flux_x[..., 1:, :] - flux_x[..., :-1, :]
+    out[..., :, 1:-1] += flux_y[..., :, 1:] - flux_y[..., :, :-1]
     out /= h2
-    out[grid.boundary_mask] = 0.0
+    out[..., grid.boundary_mask] = 0.0
     return out
 
 
@@ -259,33 +229,38 @@ def solve_dirichlet(
     """Solve the Dirichlet problem with boundary values ``bc`` and source ``src``.
 
     ``bc`` is indexed like ``grid.boundary_index``, either one column of
-    shape (nb,) or m columns of shape (nb, m); ``src`` is a nodal field of
-    shape (n, n) or (n, n, m) whose values on the boundary ring are ignored.
-    The result has shape (n, n) or (n, n, m) accordingly.  It reproduces
-    ``bc`` exactly and, column by column, satisfies the full system with
-    normwise relative residual ``|Ax-b| / (|A| |x| + |b|)`` below
-    SOLVE_RTOL, where ``|x|`` and ``|b|`` include the boundary values.  Only
-    the interior unknowns are solved for: the boundary values enter once,
-    through ``c = b_I - A_IB bc``, and each refinement sweep corrects
-    ``x_I`` by the factored solve of ``c - A_II x_I``.  One refinement sweep
-    always runs and a second runs if some column misses the tolerance,
-    before a SolverError reports the worst column's residual.
+    shape (nb,) or m columns on the leading axis, shape (m, nb); ``src`` is
+    a nodal field of shape (n, n) or (m, n, n) whose values on the boundary
+    ring are ignored.  The result has shape (n, n) or (m, n, n)
+    accordingly.  It reproduces ``bc`` exactly and, column by column,
+    satisfies the full system with normwise relative residual
+    ``|Ax-b| / (|A| |x| + |b|)`` below SOLVE_RTOL, where ``|x|`` and ``|b|``
+    include the boundary values.  Only the interior unknowns are solved
+    for: the boundary values enter once, through ``c = b_I - A_IB bc``, and
+    each refinement sweep corrects ``x_I`` by the factored solve of
+    ``c - A_II x_I``.  One refinement sweep always runs and a second runs if
+    some column misses the tolerance, before a SolverError reports the
+    worst column's residual.
     """
     grid = op.grid
     inner = operator_pattern(grid.n).inner
     bc = np.asarray(bc, dtype=complex)
-    columns = bc.shape[1:]
+    lead = bc.shape[:-1]
     if src is None:
-        b = np.zeros((inner.size,) + columns, dtype=complex)
+        b = np.zeros(lead + (inner.size,), dtype=complex)
     else:
-        b = np.asarray(src, dtype=complex).reshape((grid.num_nodes,) + columns)[inner]
+        b = np.asarray(src, dtype=complex).reshape(lead + (grid.num_nodes,))[..., inner]
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(bc))):
         raise ValueError("non-finite right-hand side")
+    # The sparse products and SuperLU take the columns on the trailing axis;
+    # contiguous copies keep the summation order of the column norms fixed.
+    bc_cols = np.ascontiguousarray(bc.T)
+    b = np.ascontiguousarray(b.T)
 
     lu = op.factorization()
-    norm_bc = np.linalg.norm(bc, axis=0)
+    norm_bc = np.linalg.norm(bc_cols, axis=0)
     norm_b = np.hypot(np.linalg.norm(b, axis=0), norm_bc)
-    c = b - op.coupling @ bc
+    c = b - op.coupling @ bc_cols
     x = lu.solve(c)
     r = c - op.block @ x
     # One iterative-refinement sweep is always applied: it is cheap next to
@@ -297,19 +272,23 @@ def solve_dirichlet(
         scale = op.norm * np.hypot(np.linalg.norm(x, axis=0), norm_bc) + norm_b
         residual = float(np.max(np.linalg.norm(r, axis=0) / np.maximum(scale, 1e-300)))
         if np.isfinite(residual) and residual <= SOLVE_RTOL:
-            out = np.empty((grid.num_nodes,) + columns, dtype=complex)
-            out[inner] = x
-            out[grid.boundary_index] = bc
-            return out.reshape(grid.shape + columns)
+            out = np.empty(lead + (grid.num_nodes,), dtype=complex)
+            out[..., inner] = x.T
+            out[..., grid.boundary_index] = bc
+            return out.reshape(lead + grid.shape)
     raise SolverError(
         f"linear solve residual {residual:.3e} exceeds tolerance {SOLVE_RTOL:.1e}",
         residual=residual,
     )
 
 
-def solve_forward(op: EllipticOperator, phi: BoundaryData) -> PotentialPair:
-    """Homogeneous-interior forward solve for both trace components."""
-    return PotentialPair.from_columns(solve_dirichlet(op, np.stack(phi.components, axis=-1)))
+def solve_forward(op: EllipticOperator, phi: np.ndarray) -> np.ndarray:
+    """Homogeneous-interior forward solve for both trace components.
+
+    ``phi`` holds the two traces, shape (2, nb); the potentials come back
+    as shape (2, n, n).
+    """
+    return solve_dirichlet(op, phi)
 
 
 def adjoint_rhs(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -317,28 +296,28 @@ def adjoint_rhs(grid: Grid, f: np.ndarray) -> np.ndarray:
 
     With the face-difference H1 energy this is, at interior nodes, the exact
     algebraic adjoint representation of the H1 pairing against a residual f
-    that vanishes on the boundary ring.
+    that vanishes on the boundary ring.  ``f`` may stack several residuals
+    on leading axes.
     """
     fc = np.conj(f)
     return fc - laplacian(grid, fc)
 
 
-def solve_adjoint(op: EllipticOperator, f_res: PotentialPair) -> PotentialPair:
+def solve_adjoint(op: EllipticOperator, f_res: np.ndarray) -> np.ndarray:
     """Adjoint solve sharing the forward factorization (same complex-symmetric matrix).
 
-    ``f_res`` must vanish on the boundary ring.
+    ``f_res`` is the residual pair, shape (2, n, n), and must vanish on the
+    boundary ring.
     """
     grid = op.grid
-    for comp in f_res.components:
-        bmax = float(np.max(np.abs(grid.trace(comp)))) if grid.boundary_index.size else 0.0
-        if bmax > 1e-12:
-            raise ValueError(
-                f"residual has boundary magnitude {bmax:.3e}; "
-                "data and reconstruction grids are inconsistent"
-            )
-    zero = np.zeros((len(grid.boundary_index), 2))
-    src = np.stack([adjoint_rhs(grid, comp) for comp in f_res.components], axis=-1)
-    return PotentialPair.from_columns(solve_dirichlet(op, zero, src))
+    bmax = float(np.max(np.abs(grid.trace(f_res))))
+    if bmax > 1e-12:
+        raise ValueError(
+            f"residual has boundary magnitude {bmax:.3e}; "
+            "data and reconstruction grids are inconsistent"
+        )
+    zero = np.zeros((len(f_res), len(grid.boundary_index)))
+    return solve_dirichlet(op, zero, adjoint_rhs(grid, f_res))
 
 
 def solve_poisson(grid: Grid, rhs: np.ndarray, bc: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .admissible import AdmissibleParams, is_member
 from .mesh import Grid, refine_grid, restrict_injection
 from .objective import Dataset, bump_profile
-from .pde import AdmittivityField, PotentialPair, assemble, solve_forward
+from .pde import AdmittivityField, assemble, solve_forward
 from .properbc import canonical_phi
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,15 +92,10 @@ def synthesize_data(spec: PhantomSpec, cfg: RunConfig) -> Dataset:
     phi_fine = canonical_phi(fine)
     freqs = cfg.frequency_grid()
 
-    potentials = []
-    for omega in freqs.nodes:
-        u_fine = solve_forward(assemble(a_fine, float(omega)), phi_fine)
-        potentials.append(
-            PotentialPair(
-                restrict_injection(u_fine.u1, factor),
-                restrict_injection(u_fine.u2, factor),
-            )
-        )
+    potentials = [
+        restrict_injection(solve_forward(assemble(a_fine, float(omega)), phi_fine), factor)
+        for omega in freqs.nodes
+    ]
 
     metadata = {
         "phantom": phantom_id(spec),
@@ -137,15 +132,13 @@ def add_noise(data: Dataset, level: float, seed: int) -> Dataset:
     mask = ~grid.boundary_mask
     noisy = []
     for pair in data.potentials:
-        comps = []
-        for u in pair.components:
-            out = u.copy()
+        out = pair.copy()
+        for u, o in zip(pair, out):
             z = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) / np.sqrt(2.0)
             if level > 0.0:
                 rms = float(np.sqrt(np.mean(np.abs(u[mask]) ** 2)))
-                out[mask] = out[mask] + level * rms * z[mask]
-            comps.append(out)
-        noisy.append(PotentialPair(*comps))
+                o[mask] = o[mask] + level * rms * z[mask]
+        noisy.append(out)
     metadata = dict(data.metadata)
     metadata["noise_level"] = level
     metadata["noise_seed"] = seed

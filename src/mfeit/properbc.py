@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Grid, grad
-from .pde import AdmittivityField, BoundaryData, PotentialPair, assemble, solve_forward
+from .pde import AdmittivityField, assemble, solve_forward
 from .objective import FrequencyGrid, map_frequencies
 
 #: Coverage constants below this make the problem effectively non-invertible.
@@ -31,22 +31,20 @@ class CoverageMap:
     freqs: FrequencyGrid
 
 
-def canonical_phi(grid: Grid) -> BoundaryData:
-    """Coordinate traces phi = (x, y) on the boundary ring."""
-    return BoundaryData(grid.trace(grid.X), grid.trace(grid.Y))
+def canonical_phi(grid: Grid) -> np.ndarray:
+    """Coordinate traces phi = (x, y) on the boundary ring, shape (2, nb)."""
+    return grid.trace(np.stack((grid.X, grid.Y)))
 
 
-def det_gradient_map(grid: Grid, u: PotentialPair) -> np.ndarray:
-    """Nodal |det M| where M has rows grad(u1) and grad(u2) (complex det, then modulus)."""
-    g1 = grad(grid, u.u1)
-    g2 = grad(grid, u.u2)
+def det_gradient_map(grid: Grid, u: np.ndarray) -> np.ndarray:
+    """Nodal |det M| where M has rows grad(u[0]) and grad(u[1]) (complex det, then modulus)."""
+    g1 = grad(grid, u[0])
+    g2 = grad(grid, u[1])
     det = g1[..., 0] * g2[..., 1] - g1[..., 1] * g2[..., 0]
     return np.abs(det)
 
 
-def coverage_lambda(
-    a: AdmittivityField, freqs: FrequencyGrid, phi: BoundaryData
-) -> CoverageMap:
+def coverage_lambda(a: AdmittivityField, freqs: FrequencyGrid, phi: np.ndarray) -> CoverageMap:
     """Quadrature of the per-frequency determinant maps and its interior minimum.
 
     Solver failures at any frequency propagate; no node of the quadrature is

@@ -17,7 +17,7 @@ from mfeit.initguess import DEFAULT_PINV_TOL, _log_bc, _warn_branch, fold_imag, 
 from mfeit.landweber import GenericProblem, LandweberConfig, run
 from mfeit.mesh import Grid, face_diff_x, face_diff_y, h1_norm_sq, l2_norm_sq, laplacian
 from mfeit.objective import Dataset, FrequencyGrid, bump_profile, dF, forward_states
-from mfeit.pde import AdmittivityField, PotentialPair, SolverError, assemble, solve_forward, solve_poisson
+from mfeit.pde import AdmittivityField, SolverError, assemble, solve_forward, solve_poisson
 
 
 TWO_BUMPS = PhantomSpec(
@@ -55,9 +55,10 @@ def wide_smooth_field(grid: Grid, rng: np.random.Generator) -> np.ndarray:
 def linear_oracle(seed: int = 321, n_mats: int = 3, dim: int = 5):
     """Dense linear least-squares instance with its normal-equation solution.
 
-    Returns (problem, x_star, mu) with mu = 0.9 / sum of squared spectral
-    norms; the system is consistent (b = A x_true), so x_star equals the
-    generating point up to round-off.
+    Returns (problem, x_star, mu, derivative) with mu = 0.9 / sum of squared
+    spectral norms and ``derivative(x, h)`` the per-node derivatives for
+    ``adjoint_mismatch``; the system is consistent (b = A x_true), so x_star
+    equals the generating point up to round-off.
     """
     rng = np.random.default_rng(seed)
     mats = [rng.standard_normal((dim, dim)) for _ in range(n_mats)]
@@ -67,17 +68,16 @@ def linear_oracle(seed: int = 321, n_mats: int = 3, dim: int = 5):
 
     problem = GenericProblem(
         residuals=lambda x: [a @ x - b for a, b in zip(mats, bs)],
-        adjoint_step=lambda x, res: sum(
+        adjoint_step=lambda res: sum(
             w * (a.T @ r) for w, a, r in zip(weights, mats, res)
         ),
         weights=weights,
-        derivative=lambda x, h: [a @ h for a in mats],
     )
     normal = sum(w * a.T @ a for w, a in zip(weights, mats))
     rhs = sum(w * a.T @ b for w, a, b in zip(weights, mats, bs))
     x_star = np.linalg.solve(normal, rhs)
     mu = 0.9 / sum(np.linalg.norm(a, 2) ** 2 for a in mats)
-    return problem, x_star, mu
+    return problem, x_star, mu, lambda x, h: [a @ h for a in mats]
 
 
 def assemble_matrix(a: AdmittivityField, omega: float) -> sp.csc_matrix:
@@ -183,27 +183,25 @@ def find_mu_safe(
     return safe
 
 
-def adjoint_mismatch(p: GenericProblem, x, h, ys: list[Any]) -> float:
-    """|sum_w <DF(h), y>_Y - <h, adjoint_step(ys)>_X| for consistency probes."""
-    if p.derivative is None:
-        raise ValueError("problem does not expose a derivative")
-    lhs = sum(float(w) * p.inner_y(d, y) for w, d, y in zip(p.weights, p.derivative(x, h), ys))
-    rhs = p.inner_x(h, p.adjoint_step(x, ys))
+def adjoint_mismatch(p: GenericProblem, derivative, x, h, ys: list[Any]) -> float:
+    """|sum_w Re<DF(h), y> - <h, adjoint_step(ys)>_X| for consistency probes.
+
+    ``derivative(x, h)`` returns the derivative of every residual at ``x``
+    in direction ``h``.
+    """
+    lhs = sum(float(w) * float(np.real(np.vdot(y, d))) for w, d, y in zip(p.weights, derivative(x, h), ys))
+    rhs = p.inner_x(h, p.adjoint_step(ys))
     return abs(lhs - rhs)
 
 
-def residual_F(a: AdmittivityField, omega: float, data: Dataset) -> PotentialPair:
+def residual_F(a: AdmittivityField, omega: float, data: Dataset) -> np.ndarray:
     """Forward solve at one frequency minus the stored measurement."""
     k = index_of(data.freqs, omega)
-    u = solve_forward(assemble(a, omega), data.boundary_data(k))
-    meas = data.potentials[k]
-    return PotentialPair(u.u1 - meas.u1, u.u2 - meas.u2)
+    return solve_forward(assemble(a, omega), data.boundary_data(k)) - data.potentials[k]
 
 
-def pairing_dF_route(
-    a: AdmittivityField, data: Dataset, h: np.ndarray, k: np.ndarray
-) -> float:
-    """Directional derivative via the linearized map: sum_w Re<dF(h,k), F>_H1.
+def pairing_dF_route(a: AdmittivityField, data: Dataset, d: np.ndarray) -> float:
+    """Directional derivative via the linearized map: sum_w Re<dF(d), F>_H1.
 
     Independent code path from ``gradient_DJ`` (no adjoint solve); used to
     cross-check the two derivative representations against each other.
@@ -211,9 +209,9 @@ def pairing_dF_route(
     grid = a.grid
     acc = 0.0
     for s in forward_states(a, data):
-        v = dF(s.op, h, k, s.u)
+        v = dF(s.op, d, s.u)
         acc += s.weight * (
-            h1_inner(grid, v.u1, s.f_res.u1).real + h1_inner(grid, v.u2, s.f_res.u2).real
+            h1_inner(grid, v[0], s.f_res[0]).real + h1_inner(grid, v[1], s.f_res[1]).real
         )
     return acc
 
@@ -226,7 +224,7 @@ def h2_proxy_norm_sq(grid: Grid, f: np.ndarray) -> float:
 
 def solve_gamma(
     grid: Grid,
-    u_omega: PotentialPair,
+    u_omega: np.ndarray,
     omega: float,
     sigma0: float,
     eps0: float,

@@ -45,8 +45,8 @@ class TestSynthesize:
         data = synthesize_data(cfg.phantom, cfg)
         g = data.grid
         for pair in data.potentials:
-            assert np.max(np.abs(pair.u1 - g.X)) < 1e-11
-            assert np.max(np.abs(pair.u2 - g.Y)) < 1e-11
+            assert np.max(np.abs(pair[0] - g.X)) < 1e-11
+            assert np.max(np.abs(pair[1] - g.Y)) < 1e-11
 
     def test_refinement_matters_and_shrinks(self):
         diffs = []
@@ -55,7 +55,7 @@ class TestSynthesize:
             c2 = RunConfig(n=n, c0=0.2, n_freq=1, refinement=2, phantom=ONE_BUMP)
             d1 = synthesize_data(ONE_BUMP, c1)
             d2 = synthesize_data(ONE_BUMP, c2)
-            diff = np.sqrt(l2_norm_sq(d1.grid, d1.potentials[0].u1 - d2.potentials[0].u1))
+            diff = np.sqrt(l2_norm_sq(d1.grid, d1.potentials[0][0] - d2.potentials[0][0]))
             assert diff > 0.0
             diffs.append(diff)
         assert diffs[1] < diffs[0]
@@ -70,8 +70,8 @@ class TestSynthesize:
         data = synthesize_data(ONE_BUMP, cfg)
         g = data.grid
         for pair in data.potentials:
-            assert np.array_equal(g.trace(pair.u1), g.trace(g.X.astype(complex)))
-            assert np.array_equal(g.trace(pair.u2), g.trace(g.Y.astype(complex)))
+            assert np.array_equal(g.trace(pair[0]), g.trace(g.X.astype(complex)))
+            assert np.array_equal(g.trace(pair[1]), g.trace(g.Y.astype(complex)))
 
 
 @pytest.fixture(scope="module")
@@ -84,20 +84,20 @@ class TestNoise:
     def test_level_zero_identical(self, clean):
         noisy = add_noise(clean, 0.0, 7)
         for a, b in zip(clean.potentials, noisy.potentials):
-            assert np.array_equal(a.u1, b.u1)
-            assert np.array_equal(a.u2, b.u2)
+            assert np.array_equal(a[0], b[0])
+            assert np.array_equal(a[1], b[1])
 
     def test_same_seed_reproducible(self, clean):
         n1 = add_noise(clean, 0.03, 7)
         n2 = add_noise(clean, 0.03, 7)
         for a, b in zip(n1.potentials, n2.potentials):
-            assert np.array_equal(a.u1, b.u1)
+            assert np.array_equal(a[0], b[0])
 
     def test_boundary_untouched(self, clean):
         noisy = add_noise(clean, 0.05, 7)
         g = clean.grid
         for a, b in zip(clean.potentials, noisy.potentials):
-            assert np.array_equal(g.trace(a.u1), g.trace(b.u1))
+            assert np.array_equal(g.trace(a[0]), g.trace(b[0]))
 
     def test_empirical_noise_level(self, clean):
         level = 0.02
@@ -106,7 +106,7 @@ class TestNoise:
         mask = ~g.boundary_mask
         ratios = []
         for a, b in zip(clean.potentials, noisy.potentials):
-            for ua, ub in zip(a.components, b.components):
+            for ua, ub in zip(a, b):
                 noise_rms = np.sqrt(np.mean(np.abs(ub - ua)[mask] ** 2))
                 signal_rms = np.sqrt(np.mean(np.abs(ua)[mask] ** 2))
                 ratios.append(noise_rms / signal_rms)
@@ -135,8 +135,8 @@ class TestFieldIO:
         assert np.array_equal(back.freqs.nodes, data.freqs.nodes)
         assert np.array_equal(back.freqs.weights, data.freqs.weights)
         for a, b in zip(data.potentials, back.potentials):
-            assert np.array_equal(a.u1, b.u1)
-            assert np.array_equal(a.u2, b.u2)
+            assert np.array_equal(a[0], b[0])
+            assert np.array_equal(a[1], b[1])
 
     def test_dataset_write_deterministic(self, tmp_path):
         cfg = RunConfig(n=17, c0=0.2, n_freq=2, refinement=1, phantom=ONE_BUMP)
@@ -281,6 +281,9 @@ class TestConfig:
             ("[admissible]\nc4 = inf\n", "c4"),
             ("[frequencies]\nomega_hi = inf\n", "omega_hi"),
             ("[phantom]\ninclusions =\n    0.5 0.5 0.15 nan 0.1\n", "inclusions"),
+            ("[phantom]\ninclusions =\n    0.5 0.5 0 0.5 0.1\n", r"\[phantom\] inclusions"),
+            ("[phantom]\ninclusions =\n    0.5 0.5 -0.15 0.5 0.1\n", r"\[phantom\] inclusions"),
+            ("[noise]\nseed = -1\n", r"\[noise\] seed"),
         ],
     )
     def test_non_finite_or_out_of_range_value_names_key(self, text, key):

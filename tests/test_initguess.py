@@ -15,7 +15,7 @@ from mfeit.initguess import (
     pinv2x2,
 )
 from mfeit.mesh import build_grid, div, grad
-from mfeit.pde import PotentialPair, constant_field
+from mfeit.pde import constant_field
 from mfeit.phantom import make_phantom, synthesize_data
 
 from helpers import TWO_BUMPS, rel_interior_err, solve_gamma
@@ -59,17 +59,17 @@ class TestPinv:
 class TestGammaRhs:
     def test_zero_for_constant_medium_data(self):
         g = build_grid(17, 0.2)
-        u = PotentialPair(g.X.astype(complex), g.Y.astype(complex))
+        u = np.stack((g.X.astype(complex), g.Y.astype(complex)))
         assert np.max(np.abs(gamma_rhs(g, u))) < 1e-12
 
     def test_matches_independent_nodal_evaluation(self):
         # second implementation path on raw arrays, node by node
         g = build_grid(17, 0.2)
-        u = PotentialPair((g.X**2 + 0.3j * g.Y).astype(complex), (g.Y + 0.1 * g.X * g.Y).astype(complex))
+        u = np.stack(((g.X**2 + 0.3j * g.Y).astype(complex), (g.Y + 0.1 * g.X * g.Y).astype(complex)))
         lib = gamma_rhs(g, u)
 
-        g1 = grad(g, u.u1)
-        g2 = grad(g, u.u2)
+        g1 = grad(g, u[0])
+        g2 = grad(g, u[1])
         s1 = div(g, g1)
         s2 = div(g, g2)
         w = np.zeros(g.shape + (2,), dtype=complex)
@@ -83,10 +83,10 @@ class TestGammaRhs:
 
     def test_invariant_under_complex_scaling(self):
         g = build_grid(17, 0.2)
-        u = PotentialPair((g.X**2 + 0.3j * g.Y).astype(complex), (g.Y + 0.1 * g.X * g.Y).astype(complex))
+        u = np.stack(((g.X**2 + 0.3j * g.Y).astype(complex), (g.Y + 0.1 * g.X * g.Y).astype(complex)))
         base = gamma_rhs(g, u)
         for c in (2.0, 1j):
-            scaled = PotentialPair(c * u.u1, c * u.u2)
+            scaled = c * u
             assert np.max(np.abs(gamma_rhs(g, scaled) - base)) < 1e-10
 
 
@@ -99,7 +99,7 @@ class TestSolveGamma:
 
     def test_boundary_value_closed_form(self):
         g = build_grid(17, 0.2)
-        u = PotentialPair(g.X.astype(complex), g.Y.astype(complex))
+        u = np.stack((g.X.astype(complex), g.Y.astype(complex)))
         gamma = solve_gamma(g, u, 0.5, 1.0, 1.0)
         val = gamma.reshape(-1)[g.boundary_index][0]
         assert val.real == pytest.approx(0.11157, abs=1e-5)

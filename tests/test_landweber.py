@@ -176,14 +176,14 @@ def test_run_discrepancy_principle_stop(bump_setup):
 
 class TestGenericEngine:
     def test_linear_oracle_converges(self):
-        problem, x_star, mu = linear_oracle()
+        problem, x_star, mu, _ = linear_oracle()
         cfg = LandweberConfig(mu=mu, max_iters=10_000, stop_tol=0.0)
         xf, recs = generic_run(problem, np.zeros(5), cfg, truth=x_star)
         assert np.linalg.norm(xf - x_star) < 1e-6
         assert len(recs) <= 10_000
 
     def test_linear_oracle_monotone_error(self):
-        problem, x_star, mu = linear_oracle()
+        problem, x_star, mu, _ = linear_oracle()
         cfg = LandweberConfig(mu=mu, max_iters=2000, stop_tol=0.0)
         _, recs = generic_run(problem, np.zeros(5), cfg, truth=x_star)
         errs = np.array([r.err_to_truth for r in recs])
@@ -191,13 +191,12 @@ class TestGenericEngine:
         assert np.all(errs[1:] ** 2 <= errs[:-1] ** 2 + slack + 1e-12)
 
     def test_box_projection_same_limit(self):
-        problem, x_star, mu = linear_oracle()
+        problem, x_star, mu, _ = linear_oracle()
         boxed = GenericProblem(
             residuals=problem.residuals,
             adjoint_step=problem.adjoint_step,
             weights=problem.weights,
             project=lambda x: np.clip(x, -10.0, 10.0),
-            derivative=problem.derivative,
         )
         cfg = LandweberConfig(mu=mu, max_iters=10_000, stop_tol=0.0)
         xf, _ = generic_run(boxed, np.zeros(5), cfg)
@@ -211,7 +210,7 @@ class TestGenericEngine:
         weights = np.ones(3)
         problem = GenericProblem(
             residuals=lambda x: [a @ x - b for a, b in zip(mats, bs)],
-            adjoint_step=lambda x, res: sum(a.T @ r for a, r in zip(mats, res)),
+            adjoint_step=lambda res: sum(a.T @ r for a, r in zip(mats, res)),
             weights=weights,
         )
         mu = 0.9 / sum(np.linalg.norm(a, 2) ** 2 for a in mats)
@@ -220,8 +219,8 @@ class TestGenericEngine:
         assert recs[0].J == 0.0
 
     def test_adjoint_consistency_probe(self):
-        problem, _, _ = linear_oracle()
+        problem, _, _, derivative = linear_oracle()
         rng = np.random.default_rng(10)
         h = rng.standard_normal(5)
         ys = [rng.standard_normal(5) for _ in range(3)]
-        assert adjoint_mismatch(problem, np.zeros(5), h, ys) < 1e-12
+        assert adjoint_mismatch(problem, derivative, np.zeros(5), h, ys) < 1e-12

@@ -8,6 +8,7 @@ from mfeit.objective import (
     dF,
     directional_derivative,
     gradient_DJ,
+    map_frequencies,
     misfit_J,
     random_smooth_pair,
     residual_norm_sq,
@@ -21,9 +22,8 @@ from mfeit import RunConfig
 
 
 def unit_direction(grid, rng):
-    h, k = random_smooth_pair(grid, rng)
-    s = np.sqrt(l2_norm_sq(grid, h) + l2_norm_sq(grid, k))
-    return h / s, k / s
+    d = random_smooth_pair(grid, rng)
+    return d / np.sqrt(l2_norm_sq(grid, d[0]) + l2_norm_sq(grid, d[1]))
 
 
 class TestFrequencyGrid:
@@ -65,7 +65,7 @@ class TestResidual:
         # O(h^2) discretization gap between the two grids
         f = residual_F(truth33, float(data.freqs.nodes[0]), data)
         assert np.sqrt(residual_norm_sq(data.grid, f)) < 5e-3
-        assert np.max(np.abs(data.grid.trace(f.u1))) < 1e-12
+        assert np.max(np.abs(data.grid.trace(f[0]))) < 1e-12
 
     def test_exactly_zero_with_matching_constant_data(self):
         from mfeit import PhantomSpec
@@ -74,8 +74,8 @@ class TestResidual:
         data = synthesize_data(cfg.phantom, cfg)
         a = constant_field(data.grid, 1.0, 1.0)
         f = residual_F(a, float(data.freqs.nodes[1]), data)
-        assert np.max(np.abs(f.u1)) < 1e-12
-        assert np.max(np.abs(f.u2)) < 1e-12
+        assert np.max(np.abs(f[0])) < 1e-12
+        assert np.max(np.abs(f[1])) < 1e-12
 
     def test_unknown_frequency_rejected(self, data33):
         data, _ = data33
@@ -138,20 +138,20 @@ class TestLinearization:
         data, _ = data33
         omega = float(data.freqs.nodes[1])
         u = solve_forward(assemble(truth33, omega), data.boundary_data(1))
-        z = np.zeros(data.grid.shape)
-        v = dF(assemble(truth33, omega), z, z, u)
-        assert np.max(np.abs(v.u1)) == 0.0
+        z = np.zeros((2,) + data.grid.shape)
+        v = dF(assemble(truth33, omega), z, u)
+        assert np.max(np.abs(v[0])) == 0.0
 
     def test_linearity(self, data33, truth33):
         data, _ = data33
         grid = data.grid
         omega = float(data.freqs.nodes[1])
         u = solve_forward(assemble(truth33, omega), data.boundary_data(1))
-        h, k = unit_direction(grid, np.random.default_rng(5))
-        v1 = dF(assemble(truth33, omega), h, k, u)
-        v2 = dF(assemble(truth33, omega), 2 * h, 2 * k, u)
-        assert np.max(np.abs(v2.u1 - 2 * v1.u1)) < 1e-12
-        assert np.max(np.abs(v2.u2 - 2 * v1.u2)) < 1e-12
+        d = unit_direction(grid, np.random.default_rng(5))
+        v1 = dF(assemble(truth33, omega), d, u)
+        v2 = dF(assemble(truth33, omega), 2 * d, u)
+        assert np.max(np.abs(v2[0] - 2 * v1[0])) < 1e-12
+        assert np.max(np.abs(v2[1] - 2 * v1[1])) < 1e-12
 
     def test_taylor_remainder_second_order(self, data33):
         data, cfg = data33
@@ -160,15 +160,15 @@ class TestLinearization:
         omega = float(data.freqs.nodes[0])
         phi = data.boundary_data(0)
         u0 = solve_forward(assemble(a0, omega), phi)
-        h, k = unit_direction(grid, np.random.default_rng(3))
-        v = dF(assemble(a0, omega), h, k, u0)
+        d = unit_direction(grid, np.random.default_rng(3))
+        v = dF(assemble(a0, omega), d, u0)
 
         def remainder(t):
-            at = AdmittivityField(grid, a0.sigma + t * h, a0.eps + t * k)
+            at = AdmittivityField(grid, a0.sigma + t * d[0], a0.eps + t * d[1])
             ut = solve_forward(assemble(at, omega), phi)
             return np.sqrt(
-                h1_norm_sq(grid, ut.u1 - u0.u1 - t * v.u1)
-                + h1_norm_sq(grid, ut.u2 - u0.u2 - t * v.u2)
+                h1_norm_sq(grid, ut[0] - u0[0] - t * v[0])
+                + h1_norm_sq(grid, ut[1] - u0[1] - t * v[1])
             )
 
         ratio = remainder(1e-2) / remainder(5e-3)
@@ -181,14 +181,14 @@ class TestGradient:
         data = synthesize_data(ONE_BUMP, cfg)
         truth = make_phantom(ONE_BUMP, data.grid, cfg.admissible)
         g = gradient_DJ(truth, data)
-        assert max(np.max(np.abs(g.g_sigma)), np.max(np.abs(g.g_eps))) <= 1e-9
+        assert max(np.max(np.abs(g[0])), np.max(np.abs(g[1]))) <= 1e-9
 
     def test_support_confined_to_interior(self, data33):
         data, _ = data33
         g = gradient_DJ(constant_field(data.grid, 1.0, 1.0), data)
         outside = ~data.grid.interior_mask
-        assert np.all(g.g_sigma[outside] == 0.0)
-        assert np.all(g.g_eps[outside] == 0.0)
+        assert np.all(g[0][outside] == 0.0)
+        assert np.all(g[1][outside] == 0.0)
 
     def test_matches_finite_differences(self, data33, truth33):
         data, cfg = data33
@@ -198,10 +198,10 @@ class TestGradient:
         rng = np.random.default_rng(7)
         t = 1e-5
         for _ in range(2):
-            h, k = unit_direction(grid, rng)
-            predicted = directional_derivative(grid, g, h, k)
-            jp = misfit_J(AdmittivityField(grid, a.sigma + t * h, a.eps + t * k), data)
-            jm = misfit_J(AdmittivityField(grid, a.sigma - t * h, a.eps - t * k), data)
+            d = unit_direction(grid, rng)
+            predicted = directional_derivative(grid, g, d)
+            jp = misfit_J(AdmittivityField(grid, a.sigma + t * d[0], a.eps + t * d[1]), data)
+            jm = misfit_J(AdmittivityField(grid, a.sigma - t * d[0], a.eps - t * d[1]), data)
             fd = (jp - jm) / (2 * t)
             assert abs(predicted - fd) / abs(fd) < 1e-4
 
@@ -212,9 +212,9 @@ class TestGradient:
         g = gradient_DJ(a, data)
         rng = np.random.default_rng(17)
         for _ in range(2):
-            h, k = unit_direction(grid, rng)
-            route_density = directional_derivative(grid, g, h, k)
-            route_pairing = pairing_dF_route(a, data, h, k)
+            d = unit_direction(grid, rng)
+            route_density = directional_derivative(grid, g, d)
+            route_pairing = pairing_dF_route(a, data, d)
             assert abs(route_density - route_pairing) <= 1e-8 * max(abs(route_density), 1.0)
 
     def test_conjugate_at_negated_frequency(self, data33, truth33):
@@ -223,8 +223,8 @@ class TestGradient:
         for omega in (0.7, 1.3, 1.9):
             up = solve_forward(assemble(truth33, omega), phi)
             um = solve_forward(assemble(truth33, -omega), phi)
-            assert np.max(np.abs(um.u1 - np.conj(up.u1))) < 1e-12
-            assert np.max(np.abs(um.u2 - np.conj(up.u2))) < 1e-12
+            assert np.max(np.abs(um[0] - np.conj(up[0]))) < 1e-12
+            assert np.max(np.abs(um[1] - np.conj(up[1]))) < 1e-12
 
     def test_threaded_frequency_loop_bitwise_identical(self, data33, monkeypatch):
         # the per-frequency map collects results in input order, so the
@@ -234,5 +234,11 @@ class TestGradient:
         serial = gradient_DJ(a, data)
         monkeypatch.setenv("MFEIT_THREADS", "4")
         threaded = gradient_DJ(a, data)
-        assert np.array_equal(serial.g_sigma, threaded.g_sigma)
-        assert np.array_equal(serial.g_eps, threaded.g_eps)
+        assert np.array_equal(serial[0], threaded[0])
+        assert np.array_equal(serial[1], threaded[1])
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_invalid_thread_count_names_variable(self, monkeypatch, value):
+        monkeypatch.setenv("MFEIT_THREADS", value)
+        with pytest.raises(ValueError, match="MFEIT_THREADS"):
+            map_frequencies(lambda k: k, range(3))
