@@ -2,14 +2,12 @@
 
 from .mesh import Grid, build_grid, grad, div, laplacian
 from .pde import (
-    AdmittivityField,
     EllipticOperator,
     SolverError,
     assemble,
     constant_field,
     solve_adjoint,
     solve_dirichlet,
-    solve_forward,
     solve_poisson,
 )
 from .admissible import AdmissibleParams, MembershipReport, is_member, project_T

@@ -16,12 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Grid, h1_norm_sq
-from .pde import AdmittivityField
 
 logger = logging.getLogger(__name__)
 
 #: Blending weight of one averaging pass (0 = identity, 1 = full 4-neighbor mean).
 SMOOTH_WEIGHT = 0.05
+
+#: Perturbations are clipped to this magnitude before smoothing, so that the
+#: sum of four neighbors cannot overflow.
+MAX_PERTURBATION = np.finfo(float).max / 8
 
 
 @dataclass
@@ -68,13 +71,13 @@ class MembershipReport:
     violations: list[Violation] = field(default_factory=list)
 
 
-def is_member(a: AdmittivityField, p: AdmissibleParams, tol: float = 1e-12) -> MembershipReport:
-    """Check pointwise bounds, background support, and the H1 cap.
+def is_member(grid: Grid, x: np.ndarray, p: AdmissibleParams, tol: float = 1e-12) -> MembershipReport:
+    """Check pointwise bounds, background support, and the H1 cap of ``x``, shape (2, n, n).
 
     All failures are collected into the report rather than raised; each
-    failed constraint contributes one entry carrying its worst node.
+    failed constraint contributes one entry carrying its worst node.  A NaN
+    node violates the bounds by an infinite amount.
     """
-    grid = a.grid
     violations: list[Violation] = []
 
     def worst(mask_excess: np.ndarray, name: str):
@@ -83,8 +86,8 @@ def is_member(a: AdmittivityField, p: AdmissibleParams, tol: float = 1e-12) -> M
         if mag > 0.0:
             violations.append(Violation(name, (k // grid.n, k % grid.n), mag))
 
-    for name, values, bg in (("sigma", a.sigma, p.sigma0), ("eps", a.eps, p.eps0)):
-        excess = np.maximum(p.c1 - values, values - p.c2)
+    for name, values, bg in zip(("sigma", "eps"), x, (p.sigma0, p.eps0)):
+        excess = np.where(np.isnan(values), np.inf, np.maximum(p.c1 - values, values - p.c2))
         worst(np.maximum(excess, 0.0), f"{name}_bounds")
 
         outside = ~grid.interior_mask
@@ -119,8 +122,8 @@ def clamp_perturbation(eta: np.ndarray, p: AdmissibleParams, background: float) 
     return np.clip(eta, p.c1 - background + p.delta, p.c2 - background - p.delta)
 
 
-def project_T(a: AdmittivityField, p: AdmissibleParams) -> AdmittivityField:
-    """Approximate projection onto the admissible set.
+def project_T(grid: Grid, x: np.ndarray, p: AdmissibleParams) -> np.ndarray:
+    """Approximate projection of ``x``, shape (2, n, n), onto the admissible set.
 
     Steps: subtract the background, apply a smooth cutoff that vanishes
     outside the interior region, run the averaging smoother, truncate the
@@ -129,17 +132,16 @@ def project_T(a: AdmittivityField, p: AdmissibleParams) -> AdmittivityField:
     values are replaced by the background (and logged) so that a failed
     solve cannot silently poison the iteration state.
     """
-    grid = a.grid
     chi = _smooth_cutoff(grid, p.smooth_width)
 
     out = []
-    for values, bg in ((a.sigma, p.sigma0), (a.eps, p.eps0)):
+    for values, bg in zip(x, (p.sigma0, p.eps0)):
         eta = values - bg
         bad = ~np.isfinite(eta)
         if np.any(bad):
             logger.warning("projection replaced %d non-finite nodes by background", int(bad.sum()))
             eta = np.where(bad, 0.0, eta)
-        eta = eta * chi
+        eta = np.clip(eta, -MAX_PERTURBATION, MAX_PERTURBATION) * chi
         for _ in range(p.smooth_passes):
             eta = _smooth_pass(eta)
         eta[~grid.interior_mask] = 0.0
@@ -149,4 +151,4 @@ def project_T(a: AdmittivityField, p: AdmissibleParams) -> AdmittivityField:
             eta *= (p.c4 / nrm) * (1.0 - 1e-9)
         out.append(bg + eta)
 
-    return AdmittivityField(grid, out[0], out[1])
+    return np.stack(out)

@@ -28,7 +28,7 @@ from .objective import (
     misfit_J,
     random_smooth_pair,
 )
-from .pde import AdmittivityField, SolverError, constant_field
+from .pde import SolverError, constant_field
 from .phantom import add_noise, make_phantom, phantom_id, synthesize_data
 from .properbc import canonical_phi, coverage_lambda
 
@@ -72,17 +72,17 @@ def cmd_init_guess(cfg: RunConfig, args) -> int:
     data = _load_or_synthesize(cfg, args.data)
     guess = initial_guess(data, cfg.admissible, tol=cfg.pinv_tol, per_frequency_eps=cfg.per_frequency_eps)
     out = _outdir(cfg, args)
-    fieldio.write_field(os.path.join(out, "sigma_init"), guess.sigma, guess.grid)
-    fieldio.write_field(os.path.join(out, "eps_init"), guess.eps, guess.grid)
-    fieldio.write_field_csv(os.path.join(out, "sigma_init.csv"), guess.sigma, guess.grid)
-    fieldio.write_field_csv(os.path.join(out, "eps_init.csv"), guess.eps, guess.grid)
+    fieldio.write_field(os.path.join(out, "sigma_init"), guess[0], data.grid)
+    fieldio.write_field(os.path.join(out, "eps_init"), guess[1], data.grid)
+    fieldio.write_field_csv(os.path.join(out, "sigma_init.csv"), guess[0], data.grid)
+    fieldio.write_field_csv(os.path.join(out, "eps_init.csv"), guess[1], data.grid)
     print(f"wrote initial guess fields to {out}")
     return 0
 
 
-def _resolve_truth(cfg: RunConfig, data: Dataset) -> AdmittivityField | None:
+def _resolve_truth(cfg: RunConfig, data: Dataset) -> np.ndarray | None:
     if str(data.metadata.get("phantom", "")) == phantom_id(cfg.phantom):
-        return make_phantom(cfg.phantom, data.grid, cfg.admissible)
+        return np.stack(make_phantom(cfg.phantom, data.grid, cfg.admissible))
     return None
 
 
@@ -92,9 +92,9 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
     if cfg.x0 == "initguess":
         x0 = initial_guess(data, cfg.admissible, tol=cfg.pinv_tol, per_frequency_eps=cfg.per_frequency_eps)
     else:
-        x0 = project_T(constant_field(grid, cfg.admissible.sigma0, cfg.admissible.eps0), cfg.admissible)
+        x0 = project_T(grid, constant_field(grid, cfg.admissible.sigma0, cfg.admissible.eps0), cfg.admissible)
 
-    cov = coverage_lambda(x0, data.freqs, data.boundary_data())
+    cov = coverage_lambda(grid, x0, data.freqs, data.boundary_data())
     print(f"coverage lambda at start iterate: {cov.lam:.6e}")
     if cov.lam < cfg.lambda_min and not cfg.allow_low_coverage:
         print(
@@ -108,22 +108,20 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
     final, records = landweber_run(x0, data, cfg.landweber_config(), truth=truth)
 
     out = _outdir(cfg, args)
-    fieldio.write_field(os.path.join(out, "sigma_init"), x0.sigma, grid)
-    fieldio.write_field(os.path.join(out, "eps_init"), x0.eps, grid)
-    fieldio.write_field(os.path.join(out, "sigma_final"), final.sigma, grid)
-    fieldio.write_field(os.path.join(out, "eps_final"), final.eps, grid)
-    fieldio.write_field_csv(os.path.join(out, "sigma_final.csv"), final.sigma, grid)
-    fieldio.write_field_csv(os.path.join(out, "eps_final.csv"), final.eps, grid)
+    fieldio.write_field(os.path.join(out, "sigma_init"), x0[0], grid)
+    fieldio.write_field(os.path.join(out, "eps_init"), x0[1], grid)
+    fieldio.write_field(os.path.join(out, "sigma_final"), final[0], grid)
+    fieldio.write_field(os.path.join(out, "eps_final"), final[1], grid)
+    fieldio.write_field_csv(os.path.join(out, "sigma_final.csv"), final[0], grid)
+    fieldio.write_field_csv(os.path.join(out, "eps_final.csv"), final[1], grid)
     fieldio.write_trajectory_csv(os.path.join(out, "trajectory.csv"), records)
 
     last = records[-1]
     print(f"finished after {last.n} iterations: J={last.J:.6e}, |g|={last.grad_norm:.3e}")
     if truth is not None:
         mask = grid.interior_mask
-        num = np.sqrt(
-            np.sum((final.sigma - truth.sigma)[mask] ** 2) + np.sum((final.eps - truth.eps)[mask] ** 2)
-        )
-        den = np.sqrt(np.sum(truth.sigma[mask] ** 2) + np.sum(truth.eps[mask] ** 2))
+        num = np.sqrt(np.sum((final[0] - truth[0])[mask] ** 2) + np.sum((final[1] - truth[1])[mask] ** 2))
+        den = np.sqrt(np.sum(truth[0][mask] ** 2) + np.sum(truth[1][mask] ** 2))
         print(f"relative interior error vs phantom: {num / den:.4f}")
     print(f"wrote reconstruction outputs to {out}")
     return 0
@@ -132,7 +130,7 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
 def cmd_check_gradient(cfg: RunConfig, args) -> int:
     data = _load_or_synthesize(cfg, args.data)
     grid = data.grid
-    a = project_T(constant_field(grid, cfg.admissible.sigma0, cfg.admissible.eps0), cfg.admissible)
+    a = project_T(grid, constant_field(grid, cfg.admissible.sigma0, cfg.admissible.eps0), cfg.admissible)
     g = gradient_DJ(a, data)
     rng = np.random.default_rng(cfg.noise_seed)
     t = 1e-5
@@ -141,9 +139,7 @@ def cmd_check_gradient(cfg: RunConfig, args) -> int:
         d = random_smooth_pair(grid, rng)
         d = d / np.sqrt(l2_norm_sq(grid, d[0]) + l2_norm_sq(grid, d[1]))
         predicted = directional_derivative(grid, g, d)
-        a_plus = AdmittivityField(grid, a.sigma + t * d[0], a.eps + t * d[1])
-        a_minus = AdmittivityField(grid, a.sigma - t * d[0], a.eps - t * d[1])
-        fd = (misfit_J(a_plus, data) - misfit_J(a_minus, data)) / (2.0 * t)
+        fd = (misfit_J(a + t * d, data) - misfit_J(a - t * d, data)) / (2.0 * t)
         rel = abs(predicted - fd) / max(abs(fd), 1e-300)
         worst = max(worst, rel)
         print(f"direction {i}: adjoint={predicted: .12e}  fd={fd: .12e}  rel_err={rel:.3e}")
@@ -156,8 +152,8 @@ def cmd_check_gradient(cfg: RunConfig, args) -> int:
 
 def cmd_coverage(cfg: RunConfig, args) -> int:
     grid = cfg.build_grid()
-    phantom = make_phantom(cfg.phantom, grid, cfg.admissible)
-    cov = coverage_lambda(phantom, cfg.frequency_grid(), canonical_phi(grid))
+    phantom = np.stack(make_phantom(cfg.phantom, grid, cfg.admissible))
+    cov = coverage_lambda(grid, phantom, cfg.frequency_grid(), canonical_phi(grid))
     out = _outdir(cfg, args)
     fieldio.write_field(os.path.join(out, "coverage_m"), cov.m, grid)
     fieldio.write_field_csv(os.path.join(out, "coverage_m.csv"), cov.m, grid)

@@ -21,7 +21,7 @@ import numpy as np
 from .admissible import AdmissibleParams, project_T
 from .mesh import Grid, div, grad
 from .objective import Dataset, map_frequencies
-from .pde import AdmittivityField, solve_poisson
+from .pde import solve_poisson
 
 logger = logging.getLogger(__name__)
 
@@ -131,8 +131,8 @@ def initial_guess(
     params: AdmissibleParams,
     tol: float = DEFAULT_PINV_TOL,
     per_frequency_eps: bool = False,
-) -> AdmittivityField:
-    """Construct and project the initial admittivity guess from a dataset.
+) -> np.ndarray:
+    """Construct and project the initial admittivity guess, shape (2, n, n), from a dataset.
 
     With ``per_frequency_eps`` the permittivity is extracted as
     ``imag(exp(gamma))/omega`` per frequency before averaging instead of
@@ -154,4 +154,4 @@ def initial_guess(
     else:
         m = average_exp_gamma(data, gf)
         sigma, eps = extract_sigma_eps(m, data.freqs.omega_mid)
-    return project_T(AdmittivityField(grid, sigma, eps), params)
+    return project_T(grid, np.stack((sigma, eps)), params)

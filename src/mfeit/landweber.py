@@ -11,8 +11,8 @@ The loop sees only a ``GenericProblem`` (residual evaluation, adjoint
 direction, projection, inner product and residual norm).  ``run`` is the
 reconstruction entry point: it resolves the automatic step size and runs
 the loop on ``admittivity_problem``, the multi-frequency misfit posed on
-stacked (sigma, eps) arrays.  The same loop is validated against a dense
-linear least-squares oracle.
+admittivity fields, arrays of shape (2, n, n) holding sigma then eps.  The
+same loop is validated against a dense linear least-squares oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .objective import (
     random_smooth_pair,
     residual_norm_sq,
 )
-from .pde import AdmittivityField, SolverError
+from .pde import SolverError
 
 logger = logging.getLogger(__name__)
 
@@ -131,30 +131,21 @@ class GenericProblem:
     norm_sq_y: Callable[[Any], float] = lambda r: _default_inner(r, r)
 
 
-def stack_field(a: AdmittivityField) -> np.ndarray:
-    """The (sigma, eps) pair as one array of shape (2, n, n)."""
-    return np.stack((a.sigma, a.eps))
-
-
 def admittivity_problem(data: Dataset, params: AdmissibleParams) -> GenericProblem:
-    """The multi-frequency misfit as a ``GenericProblem`` on stacked (sigma, eps).
+    """The multi-frequency misfit as a ``GenericProblem`` on admittivity fields.
 
-    Iterates are arrays of shape (2, n, n).  The residuals are the
-    per-frequency forward states, so the adjoint direction (the gradient,
-    in the same (2, n, n) layout) reuses their factorizations; their squared
-    norm is the H1 residual norm of the misfit, and ``inner_x`` is the L2
-    inner product over both components.
+    Iterates are arrays of shape (2, n, n), sigma then eps.  The residuals
+    are the per-frequency forward states, so the adjoint direction (the
+    gradient, in the same (2, n, n) layout) reuses their factorizations;
+    their squared norm is the H1 residual norm of the misfit, and
+    ``inner_x`` is the L2 inner product over both components.
     """
     grid = data.grid
-
-    def as_field(x) -> AdmittivityField:
-        return AdmittivityField(grid, x[0], x[1])
-
     return GenericProblem(
-        residuals=lambda x: forward_states(as_field(x), data),
+        residuals=lambda x: forward_states(x, data),
         adjoint_step=gradient_from_states,
         weights=data.freqs.weights,
-        project=lambda x: stack_field(project_T(as_field(x), params)),
+        project=lambda x: project_T(grid, x, params),
         inner_x=lambda a, b: sum(grid.h * grid.h * float(np.sum(u * v)) for u, v in zip(a, b)),
         norm_sq_y=lambda s: residual_norm_sq(grid, s.f_res),
     )
@@ -250,23 +241,21 @@ def _auto_step_size(p: GenericProblem, x0: np.ndarray, grid: Grid) -> tuple[Gene
 
 
 def run(
-    x0: AdmittivityField,
+    x0: np.ndarray,
     data: Dataset,
     cfg: LandweberConfig,
-    truth: AdmittivityField | None = None,
-) -> tuple[AdmittivityField, list[IterationRecord]]:
-    """Reconstruct from ``x0``: ``generic_run`` on ``admittivity_problem``.
+    truth: np.ndarray | None = None,
+) -> tuple[np.ndarray, list[IterationRecord]]:
+    """Reconstruct from the field ``x0``: ``generic_run`` on ``admittivity_problem``.
 
+    ``x0``, ``truth`` and the returned field have shape (2, n, n).
     ``cfg.mu = None`` is resolved first by ``estimate_step_size``, whose
     forward states at the projected start iterate also serve the first
     step.  Returns the projected final field and the trajectory.
     """
     problem = admittivity_problem(data, cfg.admissible)
-    x = stack_field(x0)
     if cfg.mu is None:
-        problem, mu = _auto_step_size(problem, x, data.grid)
+        problem, mu = _auto_step_size(problem, x0, data.grid)
         logger.info("auto step size mu=%.4e", mu)
         cfg = dataclasses.replace(cfg, mu=mu)
-    stacked_truth = None if truth is None else stack_field(truth)
-    xf, records = generic_run(problem, x, cfg, truth=stacked_truth)
-    return AdmittivityField(x0.grid, xf[0], xf[1]), records
+    return generic_run(problem, x0, cfg, truth=truth)

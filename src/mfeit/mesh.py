@@ -8,8 +8,8 @@ operators, boundary indexing, and file output.
 
 Vector fields carry their two components in a trailing axis of length 2:
 ``v[..., 0]`` is the x component, ``v[..., 1]`` the y component.  A pair
-of scalar fields (two potentials, a (sigma, eps) gradient or direction)
-is instead a stack of shape (2, n, n); ``Grid.trace``, ``laplacian`` and
+of scalar fields (two potentials, or a (sigma, eps) admittivity field,
+gradient or direction) is instead a stack of shape (2, n, n); ``Grid.trace``, ``laplacian`` and
 ``restrict_injection`` read the last two axes and accept such stacks.
 
 Two families of difference operators live here:

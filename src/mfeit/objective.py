@@ -22,8 +22,8 @@ share the face-density reduction ``reduce_densities``.
 
 Every pair is a plain array with its component on the leading axis:
 potentials, residuals and linearized states (one per trace component) have
-shape (2, n, n), and so do gradient densities and perturbation directions,
-whose components are (sigma, eps) -- the layout of the Landweber iterates.
+shape (2, n, n), and so do admittivity fields, gradient densities and
+perturbation directions, whose components are (sigma, eps).
 """
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ import numpy as np
 
 from .mesh import Grid, h1_norm_sq
 from .pde import (
-    AdmittivityField,
     EllipticOperator,
     apply_div_coeff_grad,
     assemble,
     solve_adjoint,
     solve_dirichlet,
-    solve_forward,
 )
 
 #: Environment variable selecting the thread count of per-frequency loops.
@@ -162,21 +160,21 @@ class ForwardState:
     f_res: np.ndarray
 
 
-def forward_states(a: AdmittivityField, data: Dataset) -> list[ForwardState]:
-    """Assemble, factorize, and solve once per frequency node."""
+def forward_states(x: np.ndarray, data: Dataset) -> list[ForwardState]:
+    """Assemble, factorize, and solve once per frequency node at the field ``x``."""
 
     def one(k: int) -> ForwardState:
         omega = float(data.freqs.nodes[k])
-        op = assemble(a, omega)
-        u = solve_forward(op, data.boundary_data(k))
+        op = assemble(data.grid, x, omega)
+        u = solve_dirichlet(op, data.boundary_data(k))
         return ForwardState(float(data.freqs.weights[k]), op, u, u - data.potentials[k])
 
     return map_frequencies(one, range(data.freqs.nodes.size))
 
 
-def misfit_J(a: AdmittivityField, data: Dataset) -> float:
-    """Frequency-weighted half sum of squared H1 residual norms."""
-    return 0.5 * sum(s.weight * residual_norm_sq(a.grid, s.f_res) for s in forward_states(a, data))
+def misfit_J(x: np.ndarray, data: Dataset) -> float:
+    """Frequency-weighted half sum of squared H1 residual norms at the field ``x``."""
+    return 0.5 * sum(s.weight * residual_norm_sq(data.grid, s.f_res) for s in forward_states(x, data))
 
 
 def dF(op: EllipticOperator, d: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -232,9 +230,9 @@ def gradient_from_states(states: list[ForwardState]) -> np.ndarray:
     return reduce_densities(states[0].op.grid, states, lambda s: solve_adjoint(s.op, s.f_res))
 
 
-def gradient_DJ(a: AdmittivityField, data: Dataset) -> np.ndarray:
-    """Adjoint-state (sigma, eps) gradient densities of the misfit at ``a``."""
-    return gradient_from_states(forward_states(a, data))
+def gradient_DJ(x: np.ndarray, data: Dataset) -> np.ndarray:
+    """Adjoint-state (sigma, eps) gradient densities of the misfit at the field ``x``."""
+    return gradient_from_states(forward_states(x, data))
 
 
 def directional_derivative(grid: Grid, g: np.ndarray, d: np.ndarray) -> float:

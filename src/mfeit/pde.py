@@ -21,11 +21,12 @@ enter once, through ``A_IB``.  Every column must meet the ``SOLVE_RTOL``
 backward-error gate of the full system, whose norms include the boundary
 values.
 
-A pair of quantities, one per boundary-trace component, is a plain array
-with the component on the leading axis: traces have shape (2, nb) and
-potentials, residuals and adjoint states shape (2, n, n).  A forward,
-adjoint or linearized solve therefore passes its pair straight to
-``solve_dirichlet`` as one 2-column right-hand side.
+A pair of quantities is a plain array with the component on the leading
+axis.  The admittivity field is one of shape (2, n, n), sigma then eps,
+passed together with its ``Grid``.  Traces have shape (2, nb) and
+potentials, residuals and adjoint states shape (2, n, n), one per
+boundary-trace component, so a forward, adjoint or linearized solve passes
+its pair straight to ``solve_dirichlet`` as one 2-column right-hand side.
 """
 from __future__ import annotations
 
@@ -50,34 +51,9 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-@dataclass
-class AdmittivityField:
-    """Nodal conductivity/permittivity pair on a grid.
-
-    ``sigma`` and ``eps`` are real (n, n) arrays.  The composite coefficient
-    at frequency omega is ``sigma + 1j*omega*eps``.
-    """
-
-    grid: Grid
-    sigma: np.ndarray
-    eps: np.ndarray
-
-    def __post_init__(self):
-        n = self.grid.n
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        self.eps = np.asarray(self.eps, dtype=float)
-        if self.sigma.shape != (n, n) or self.eps.shape != (n, n):
-            raise ValueError("sigma/eps shape does not match the grid")
-
-    def admittivity(self, omega: float) -> np.ndarray:
-        return self.sigma + 1j * omega * self.eps
-
-
-def constant_field(grid: Grid, sigma0: float, eps0: float) -> AdmittivityField:
-    """Spatially constant admittivity."""
-    return AdmittivityField(
-        grid, np.full(grid.shape, float(sigma0)), np.full(grid.shape, float(eps0))
-    )
+def constant_field(grid: Grid, sigma0: float, eps0: float) -> np.ndarray:
+    """Spatially constant admittivity, shape (2, n, n)."""
+    return np.stack((np.full(grid.shape, float(sigma0)), np.full(grid.shape, float(eps0))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,24 +136,28 @@ class EllipticOperator:
         return self._lu
 
 
-def assemble(a: AdmittivityField, omega: float) -> EllipticOperator:
+def assemble(grid: Grid, x: np.ndarray, omega: float) -> EllipticOperator:
     """Assemble ``div((sigma + i*omega*eps) grad(.))`` with Dirichlet rows.
 
-    Face coefficients are arithmetic means of the adjacent nodal values and
-    the diagonal is the negated sum of the four couplings, so interior row
-    sums vanish and the interior block is complex-symmetric.  Values are
-    gathered into the cached pattern of the grid; no full-size matrix is
-    built.  Nonpositive sigma or eps anywhere is rejected: the forward model
-    is only elliptic for strictly positive material parameters.
+    ``x`` is the admittivity field, shape (2, n, n), with ``x[0]`` = sigma
+    and ``x[1]`` = eps; any other shape is rejected.  Face coefficients are
+    arithmetic means of the adjacent nodal values and the diagonal is the
+    negated sum of the four couplings, so interior row sums vanish and the
+    interior block is complex-symmetric.  Values are gathered into the
+    cached pattern of the grid; no full-size matrix is built.  Nonpositive
+    sigma or eps anywhere is rejected: the forward model is only elliptic
+    for strictly positive material parameters.
     """
-    if np.any(a.sigma <= 0.0):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2,) + grid.shape:
+        raise ValueError(f"admittivity field has shape {x.shape}, expected {(2,) + grid.shape}")
+    if np.any(x[0] <= 0.0):
         raise ValueError("conductivity must be strictly positive everywhere")
-    if np.any(a.eps <= 0.0):
+    if np.any(x[1] <= 0.0):
         raise ValueError("permittivity must be strictly positive everywhere")
-    grid = a.grid
     pat = operator_pattern(grid.n)
     h2 = grid.h * grid.h
-    coeff = a.admittivity(omega)
+    coeff = x[0] + 1j * omega * x[1]
 
     # Face coefficients between node (i,j) and its +x / +y neighbors.
     cfx = 0.5 * (coeff[:-1, :] + coeff[1:, :])  # (n-1, n)
@@ -282,15 +262,6 @@ def solve_dirichlet(
     )
 
 
-def solve_forward(op: EllipticOperator, phi: np.ndarray) -> np.ndarray:
-    """Homogeneous-interior forward solve for both trace components.
-
-    ``phi`` holds the two traces, shape (2, nb); the potentials come back
-    as shape (2, n, n).
-    """
-    return solve_dirichlet(op, phi)
-
-
 def adjoint_rhs(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Right-hand side ``conj(f) - lap5(conj(f))`` of the adjoint problem.
 
@@ -326,5 +297,5 @@ def solve_poisson(grid: Grid, rhs: np.ndarray, bc: np.ndarray) -> np.ndarray:
     Takes one or several columns like ``solve_dirichlet``; all columns share
     one factorization.
     """
-    op = assemble(constant_field(grid, 1.0, 1.0), 0.0)
+    op = assemble(grid, constant_field(grid, 1.0, 1.0), 0.0)
     return solve_dirichlet(op, bc, rhs)

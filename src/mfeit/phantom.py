@@ -9,15 +9,16 @@ coarse node, so no interpolation enters the data path).  Refinement factor
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .admissible import AdmissibleParams, is_member
 from .mesh import Grid, refine_grid, restrict_injection
 from .objective import Dataset, bump_profile
-from .pde import AdmittivityField, assemble, solve_forward
+from .pde import assemble, solve_dirichlet
 from .properbc import canonical_phi
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,6 +41,18 @@ class Inclusion:
     deps: float
 
 
+class PhantomField(NamedTuple):
+    """The phantom's (sigma, eps) nodal fields, each of shape (n, n).
+
+    Everywhere else in the package an admittivity field is one (2, n, n)
+    array; ``np.stack(make_phantom(...))`` gives it.  This named pair exists
+    only for readers that take ``.sigma`` / ``.eps`` off ``make_phantom``.
+    """
+
+    sigma: np.ndarray
+    eps: np.ndarray
+
+
 @dataclass
 class PhantomSpec:
     sigma0: float = 1.0
@@ -49,17 +62,20 @@ class PhantomSpec:
 
 def make_phantom(
     spec: PhantomSpec, grid: Grid, params: AdmissibleParams | None = None
-) -> AdmittivityField:
+) -> PhantomField:
     """Evaluate the phantom on the grid nodes and validate admissibility.
 
-    Inclusions whose support reaches outside the interior region, or whose
-    amplitudes push the fields past the pointwise bounds, are rejected.
+    Inclusions with a nonpositive or non-finite radius, whose support
+    reaches outside the interior region, or whose amplitudes push the
+    fields past the pointwise bounds, are rejected with a ValueError.
     """
     if params is None:
         params = AdmissibleParams(sigma0=spec.sigma0, eps0=spec.eps0)
     sigma = np.full(grid.shape, float(spec.sigma0))
     eps = np.full(grid.shape, float(spec.eps0))
     for inc in spec.inclusions:
+        if not (math.isfinite(inc.radius) and inc.radius > 0.0):
+            raise ValueError(f"inclusion at ({inc.cx}, {inc.cy}) has radius {inc.radius}, not a positive number")
         margin = min(inc.cx, 1.0 - inc.cx, inc.cy, 1.0 - inc.cy) - inc.radius
         if margin <= grid.c0:
             raise ValueError(
@@ -70,12 +86,11 @@ def make_phantom(
         profile = bump_profile(rho_sq)
         sigma += inc.dsigma * profile
         eps += inc.deps * profile
-    a = AdmittivityField(grid, sigma, eps)
-    report = is_member(a, params)
+    report = is_member(grid, np.stack((sigma, eps)), params)
     if not report.in_set:
         names = ", ".join(v.constraint for v in report.violations)
         raise ValueError(f"phantom violates the admissible set: {names}")
-    return a
+    return PhantomField(sigma, eps)
 
 
 def synthesize_data(spec: PhantomSpec, cfg: RunConfig) -> Dataset:
@@ -88,12 +103,12 @@ def synthesize_data(spec: PhantomSpec, cfg: RunConfig) -> Dataset:
     coarse = cfg.build_grid()
     factor = cfg.refinement
     fine = refine_grid(coarse, factor)
-    a_fine = make_phantom(spec, fine, cfg.admissible)
+    x_fine = np.stack(make_phantom(spec, fine, cfg.admissible))
     phi_fine = canonical_phi(fine)
     freqs = cfg.frequency_grid()
 
     potentials = [
-        restrict_injection(solve_forward(assemble(a_fine, float(omega)), phi_fine), factor)
+        restrict_injection(solve_dirichlet(assemble(fine, x_fine, float(omega)), phi_fine), factor)
         for omega in freqs.nodes
     ]
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Grid, grad
-from .pde import AdmittivityField, assemble, solve_forward
+from .pde import assemble, solve_dirichlet
 from .objective import FrequencyGrid, map_frequencies
 
 #: Coverage constants below this make the problem effectively non-invertible.
@@ -44,17 +44,15 @@ def det_gradient_map(grid: Grid, u: np.ndarray) -> np.ndarray:
     return np.abs(det)
 
 
-def coverage_lambda(a: AdmittivityField, freqs: FrequencyGrid, phi: np.ndarray) -> CoverageMap:
-    """Quadrature of the per-frequency determinant maps and its interior minimum.
+def coverage_lambda(grid: Grid, x: np.ndarray, freqs: FrequencyGrid, phi: np.ndarray) -> CoverageMap:
+    """Quadrature of the per-frequency determinant maps of the field ``x`` and its interior minimum.
 
     Solver failures at any frequency propagate; no node of the quadrature is
     silently skipped.
     """
-    grid = a.grid
-
     def one(k: int) -> np.ndarray:
         omega = float(freqs.nodes[k])
-        u = solve_forward(assemble(a, omega), phi)
+        u = solve_dirichlet(assemble(grid, x, omega), phi)
         return det_gradient_map(grid, u)
 
     per_freq = map_frequencies(one, range(freqs.nodes.size))

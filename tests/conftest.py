@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mfeit import RunConfig
@@ -23,4 +24,4 @@ def data33_single():
 @pytest.fixture(scope="session")
 def truth33(data33):
     data, cfg = data33
-    return make_phantom(TWO_BUMPS, data.grid, cfg.admissible)
+    return np.stack(make_phantom(TWO_BUMPS, data.grid, cfg.admissible))

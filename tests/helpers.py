@@ -17,7 +17,7 @@ from mfeit.initguess import DEFAULT_PINV_TOL, _log_bc, _warn_branch, fold_imag, 
 from mfeit.landweber import GenericProblem, LandweberConfig, run
 from mfeit.mesh import Grid, face_diff_x, face_diff_y, h1_norm_sq, l2_norm_sq, laplacian
 from mfeit.objective import Dataset, FrequencyGrid, bump_profile, dF, forward_states
-from mfeit.pde import AdmittivityField, SolverError, assemble, solve_forward, solve_poisson
+from mfeit.pde import SolverError, assemble, solve_dirichlet, solve_poisson
 
 
 TWO_BUMPS = PhantomSpec(
@@ -30,13 +30,11 @@ TWO_BUMPS = PhantomSpec(
 ONE_BUMP = PhantomSpec(inclusions=[Inclusion(0.5, 0.5, 0.15, 0.5, 0.3)])
 
 
-def rel_interior_err(a: AdmittivityField, truth: AdmittivityField) -> float:
-    """Relative L2 error of (sigma, eps) over the interior region."""
-    m = a.grid.interior_mask
-    num = np.sqrt(
-        np.sum((a.sigma - truth.sigma)[m] ** 2) + np.sum((a.eps - truth.eps)[m] ** 2)
-    )
-    den = np.sqrt(np.sum(truth.sigma[m] ** 2) + np.sum(truth.eps[m] ** 2))
+def rel_interior_err(grid: Grid, a: np.ndarray, truth: np.ndarray) -> float:
+    """Relative L2 error of (sigma, eps) fields over the interior region."""
+    m = grid.interior_mask
+    num = np.sqrt(np.sum((a[0] - truth[0])[m] ** 2) + np.sum((a[1] - truth[1])[m] ** 2))
+    den = np.sqrt(np.sum(truth[0][m] ** 2) + np.sum(truth[1][m] ** 2))
     return float(num / den)
 
 
@@ -80,17 +78,16 @@ def linear_oracle(seed: int = 321, n_mats: int = 3, dim: int = 5):
     return problem, x_star, mu, lambda x, h: [a @ h for a in mats]
 
 
-def assemble_matrix(a: AdmittivityField, omega: float) -> sp.csc_matrix:
+def assemble_matrix(grid: Grid, a: np.ndarray, omega: float) -> sp.csc_matrix:
     """Full n^2 x n^2 matrix of ``assemble``, built independently through COO.
 
     Interior rows hold the face couplings and their negated row sum on the
     diagonal; boundary rows are identity rows.  This is the reference the
     pattern-filled interior block and boundary coupling are compared with.
     """
-    grid = a.grid
     n = grid.n
     h2 = grid.h * grid.h
-    coeff = a.admittivity(omega)
+    coeff = a[0] + 1j * omega * a[1]
 
     # Face coefficients between node (i,j) and its +x / +y neighbors.
     cfx = 0.5 * (coeff[:-1, :] + coeff[1:, :])  # (n-1, n)
@@ -146,14 +143,13 @@ def index_of(freqs: FrequencyGrid, omega: float) -> int:
     return int(hits[0])
 
 
-def pair_distance(a: AdmittivityField, b: AdmittivityField) -> float:
+def pair_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
     """L2 distance between two admittivity fields over both components."""
-    grid = a.grid
-    return math.sqrt(l2_norm_sq(grid, a.sigma - b.sigma) + l2_norm_sq(grid, a.eps - b.eps))
+    return math.sqrt(l2_norm_sq(grid, a[0] - b[0]) + l2_norm_sq(grid, a[1] - b[1]))
 
 
 def find_mu_safe(
-    x0: AdmittivityField,
+    x0: np.ndarray,
     data: Dataset,
     cfg: LandweberConfig,
     mu_start: float,
@@ -194,19 +190,19 @@ def adjoint_mismatch(p: GenericProblem, derivative, x, h, ys: list[Any]) -> floa
     return abs(lhs - rhs)
 
 
-def residual_F(a: AdmittivityField, omega: float, data: Dataset) -> np.ndarray:
+def residual_F(a: np.ndarray, omega: float, data: Dataset) -> np.ndarray:
     """Forward solve at one frequency minus the stored measurement."""
     k = index_of(data.freqs, omega)
-    return solve_forward(assemble(a, omega), data.boundary_data(k)) - data.potentials[k]
+    return solve_dirichlet(assemble(data.grid, a, omega), data.boundary_data(k)) - data.potentials[k]
 
 
-def pairing_dF_route(a: AdmittivityField, data: Dataset, d: np.ndarray) -> float:
+def pairing_dF_route(a: np.ndarray, data: Dataset, d: np.ndarray) -> float:
     """Directional derivative via the linearized map: sum_w Re<dF(d), F>_H1.
 
     Independent code path from ``gradient_DJ`` (no adjoint solve); used to
     cross-check the two derivative representations against each other.
     """
-    grid = a.grid
+    grid = data.grid
     acc = 0.0
     for s in forward_states(a, data):
         v = dF(s.op, d, s.u)

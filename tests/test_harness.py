@@ -38,6 +38,12 @@ class TestMakePhantom:
         with pytest.raises(ValueError, match="interior"):
             make_phantom(PhantomSpec(inclusions=[Inclusion(0.3, 0.3, 0.15, 0.5, 0.1)]), g)
 
+    @pytest.mark.parametrize("radius", [0.0, -0.1, float("nan"), float("inf")])
+    def test_rejects_nonpositive_or_non_finite_radius(self, radius):
+        g = build_grid(17, 0.2)
+        with pytest.raises(ValueError, match="radius"):
+            make_phantom(PhantomSpec(inclusions=[Inclusion(0.5, 0.5, radius, 0.5, 0.2)]), g)
+
 
 class TestSynthesize:
     def test_constant_phantom_gives_coordinates(self):

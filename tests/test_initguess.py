@@ -132,26 +132,26 @@ class TestInitialGuess:
     def test_exact_on_constant_data(self, constant_data33):
         data, cfg = constant_data33
         guess = initial_guess(data, cfg.admissible)
-        assert np.max(np.abs(guess.sigma - 1.0)) < 1e-10
-        assert np.max(np.abs(guess.eps - 1.0)) < 1e-10
+        assert np.max(np.abs(guess[0] - 1.0)) < 1e-10
+        assert np.max(np.abs(guess[1] - 1.0)) < 1e-10
 
     def test_single_frequency_eps_exact_for_constant_medium(self):
         cfg = RunConfig(n=17, c0=0.2, omega_lo=1.0, omega_hi=2.0, n_freq=1,
                         refinement=1, phantom=PhantomSpec())
         data = synthesize_data(cfg.phantom, cfg)
         guess = initial_guess(data, cfg.admissible)
-        assert np.max(np.abs(guess.eps - 1.0)) < 1e-10
+        assert np.max(np.abs(guess[1] - 1.0)) < 1e-10
 
     def test_closer_than_background_on_bumps(self, data33, truth33):
         data, cfg = data33
         guess = initial_guess(data, cfg.admissible)
         bg = constant_field(data.grid, 1.0, 1.0)
-        assert rel_interior_err(guess, truth33) < rel_interior_err(bg, truth33)
+        assert rel_interior_err(data.grid, guess, truth33) < rel_interior_err(data.grid, bg, truth33)
 
     def test_output_in_admissible_set(self, data33):
         data, cfg = data33
         guess = initial_guess(data, cfg.admissible)
-        assert is_member(guess, cfg.admissible).in_set
+        assert is_member(data.grid, guess, cfg.admissible).in_set
 
     def test_branch_invariant_on_clean_data(self, data33):
         data, _ = data33
@@ -171,8 +171,8 @@ class TestInitialGuess:
     def test_per_frequency_variant_also_exact_on_constants(self, constant_data33):
         data, cfg = constant_data33
         guess = initial_guess(data, cfg.admissible, per_frequency_eps=True)
-        assert np.max(np.abs(guess.sigma - 1.0)) < 1e-10
-        assert np.max(np.abs(guess.eps - 1.0)) < 1e-10
+        assert np.max(np.abs(guess[0] - 1.0)) < 1e-10
+        assert np.max(np.abs(guess[1] - 1.0)) < 1e-10
 
     def test_average_matches_quadrature(self, constant_data33):
         data, _ = constant_data33

@@ -3,7 +3,7 @@ import pytest
 
 from mfeit.mesh import build_grid
 from mfeit.objective import FrequencyGrid
-from mfeit.pde import AdmittivityField, assemble, constant_field, solve_forward
+from mfeit.pde import assemble, constant_field, solve_dirichlet
 from mfeit.phantom import make_phantom
 from mfeit.properbc import canonical_phi, coverage_lambda, det_gradient_map
 
@@ -25,7 +25,7 @@ def test_canonical_phi_corner_values(grid):
 
 
 def test_constant_forward_has_identity_gradient(grid):
-    u = solve_forward(assemble(constant_field(grid, 1.0, 1.0), 1.7), canonical_phi(grid))
+    u = solve_dirichlet(assemble(grid, constant_field(grid, 1.0, 1.0), 1.7), canonical_phi(grid))
     det = det_gradient_map(grid, u)
     assert np.max(np.abs(det - 1.0)) < 1e-10
 
@@ -40,14 +40,14 @@ def test_det_examples(grid):
 
 def test_coverage_constant_medium(grid):
     freqs = FrequencyGrid.uniform(1.0, 2.0, 5)
-    cov = coverage_lambda(constant_field(grid, 1.0, 1.0), freqs, canonical_phi(grid))
+    cov = coverage_lambda(grid, constant_field(grid, 1.0, 1.0), freqs, canonical_phi(grid))
     assert np.max(np.abs(cov.m - 1.0)) < 1e-9
     assert cov.lam == pytest.approx(1.0, abs=1e-10)
 
 
 def test_coverage_single_frequency_weight(grid):
     freqs = FrequencyGrid.uniform(1.0, 2.5, 1)
-    cov = coverage_lambda(constant_field(grid, 1.0, 1.0), freqs, canonical_phi(grid))
+    cov = coverage_lambda(grid, constant_field(grid, 1.0, 1.0), freqs, canonical_phi(grid))
     assert cov.lam == pytest.approx(1.5, abs=1e-9)
     assert len(cov.per_frequency) == 1
 
@@ -55,27 +55,27 @@ def test_coverage_single_frequency_weight(grid):
 def test_coverage_bump_phantom_regression():
     # frozen from the first validated run at n=65, 9 frequencies on (1, 2)
     g = build_grid(65, 0.2)
-    phantom = make_phantom(TWO_BUMPS, g)
-    cov = coverage_lambda(phantom, FrequencyGrid.uniform(1.0, 2.0, 9), canonical_phi(g))
+    phantom = np.stack(make_phantom(TWO_BUMPS, g))
+    cov = coverage_lambda(g, phantom, FrequencyGrid.uniform(1.0, 2.0, 9), canonical_phi(g))
     assert cov.lam > 0.0
     assert cov.lam == pytest.approx(0.7588, rel=0.2)
 
 
 def test_lambda_invariant_under_trace_swap(grid):
     g33 = build_grid(33, 0.2)
-    phantom = make_phantom(TWO_BUMPS, g33)
+    phantom = np.stack(make_phantom(TWO_BUMPS, g33))
     freqs = FrequencyGrid.uniform(1.0, 2.0, 3)
     phi = canonical_phi(g33)
-    cov = coverage_lambda(phantom, freqs, phi)
-    cov_swapped = coverage_lambda(phantom, freqs, phi[::-1])
+    cov = coverage_lambda(g33, phantom, freqs, phi)
+    cov_swapped = coverage_lambda(g33, phantom, freqs, phi[::-1])
     assert cov.lam == pytest.approx(cov_swapped.lam, rel=1e-12)
 
 
 def test_lambda_scales_with_interval_length(grid):
     a = constant_field(grid, 1.0, 1.0)
     phi = canonical_phi(grid)
-    lam1 = coverage_lambda(a, FrequencyGrid.uniform(1.0, 2.0, 5), phi).lam
-    lam3 = coverage_lambda(a, FrequencyGrid.uniform(1.0, 4.0, 5), phi).lam
+    lam1 = coverage_lambda(grid, a, FrequencyGrid.uniform(1.0, 2.0, 5), phi).lam
+    lam3 = coverage_lambda(grid, a, FrequencyGrid.uniform(1.0, 4.0, 5), phi).lam
     assert lam3 == pytest.approx(3.0 * lam1, rel=1e-9)
 
 
@@ -84,7 +84,7 @@ def test_lambda_stable_under_tiny_coefficient_perturbation():
     phantom = make_phantom(TWO_BUMPS, g)
     freqs = FrequencyGrid.uniform(1.0, 2.0, 3)
     phi = canonical_phi(g)
-    lam = coverage_lambda(phantom, freqs, phi).lam
-    wiggled = AdmittivityField(g, phantom.sigma + 1e-8, phantom.eps - 1e-8)
-    lam_w = coverage_lambda(wiggled, freqs, phi).lam
+    lam = coverage_lambda(g, np.stack(phantom), freqs, phi).lam
+    wiggled = np.stack((phantom.sigma + 1e-8, phantom.eps - 1e-8))
+    lam_w = coverage_lambda(g, wiggled, freqs, phi).lam
     assert abs(lam - lam_w) < 1e-5
