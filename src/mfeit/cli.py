@@ -219,7 +219,8 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+        where = "" if exc.iteration is None else f" (Landweber iteration {exc.iteration})"
+        print(f"solver failure: {exc}{where}", file=sys.stderr)
         return 3
 
 

@@ -160,7 +160,7 @@ def _get(cp, section, key, conv, current):
 
 
 def parse_config_text(text: str) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:

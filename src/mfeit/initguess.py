@@ -20,8 +20,8 @@ import numpy as np
 
 from .admissible import AdmissibleParams, project_T
 from .mesh import Grid, div, grad
-from .objective import Dataset, map_frequencies
-from .pde import solve_poisson
+from .objective import Dataset
+from .pde import map_frequencies, solve_poisson
 
 logger = logging.getLogger(__name__)
 

@@ -192,8 +192,8 @@ def generic_run(
     The discrepancy stop applies when ``cfg.discrepancy_floor`` is set, the
     plateau stop over a 10-step window when ``cfg.stop_tol`` is positive.
     Returns the projection of the final iterate together with the full
-    trajectory.  On solver failure the partial trajectory is attached to
-    the raised error.
+    trajectory.  On solver failure the partial trajectory and the failing
+    iteration are attached to the raised error.
     """
     if cfg.mu is None:
         raise ValueError("generic_run requires an explicit step size")
@@ -216,6 +216,7 @@ def generic_run(
                 break
     except SolverError as exc:
         exc.trajectory = records
+        exc.iteration = it
         raise
     return p.project(x), records
 

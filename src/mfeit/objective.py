@@ -28,8 +28,6 @@ perturbation directions, whose components are (sigma, eps).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,35 +37,10 @@ from .pde import (
     EllipticOperator,
     apply_div_coeff_grad,
     assemble,
+    map_frequencies,
     solve_adjoint,
     solve_dirichlet,
 )
-
-#: Environment variable selecting the thread count of per-frequency loops.
-THREADS_ENV = "MFEIT_THREADS"
-
-
-def map_frequencies(fn, items):
-    """Apply ``fn`` over frequency items, optionally threaded.
-
-    The thread count is read from ``MFEIT_THREADS`` (default 1) and must be
-    a positive integer; anything else raises a ValueError naming the
-    variable.  Results are collected in input order, so reductions
-    downstream run in a fixed deterministic order regardless of the thread
-    count.
-    """
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        nthreads = int(raw)
-    except ValueError:
-        nthreads = 0
-    if nthreads < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    items = list(items)
-    if nthreads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass

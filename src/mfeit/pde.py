@@ -27,10 +27,27 @@ passed together with its ``Grid``.  Traces have shape (2, nb) and
 potentials, residuals and adjoint states shape (2, n, n), one per
 boundary-trace component, so a forward, adjoint or linearized solve passes
 its pair straight to ``solve_dirichlet`` as one 2-column right-hand side.
+
+``map_frequencies`` is the one frequency pool.  With ``MFEIT_THREADS`` =
+T > 1, item i of a per-frequency loop runs on the (i mod T)-th of T
+single-thread workers that live for the process; with T = 1 the items run
+inline.  Every loaded OpenBLAS is held at one thread while a loop runs, so
+pool threads and BLAS threads do not oversubscribe the cores and results
+are bit-identical for every T.  The pool lives here because it shares one
+rule with the factorization: a SuperLU factor is destroyed on the thread
+that made it.  scipy returns a factor's memory only on that thread, so a
+factor made on a worker and dropped on the main thread would leak;
+``EllipticOperator.factorization`` hands each factor a worker makes back
+to that worker when its operator dies.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
+import os
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,9 +59,25 @@ from .mesh import Grid, laplacian
 #: Relative residual accepted from a linear solve.
 SOLVE_RTOL = 1e-10
 
+#: Environment variable selecting the thread count of ``map_frequencies``.
+THREADS_ENV = "MFEIT_THREADS"
+
+#: (getter, setter) names of the OpenBLAS thread count, one pair per build.
+_BLAS_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+)
+
+#: ``executor`` is set on each pool worker thread to the executor that owns it.
+_worker = threading.local()
+
 
 class SolverError(RuntimeError):
     """Linear solve failed or exceeded the residual tolerance."""
+
+    #: Landweber iteration during which the solve failed, set by the loop.
+    iteration: int | None = None
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
@@ -124,16 +157,121 @@ class EllipticOperator:
     block: sp.csc_matrix
     coupling: sp.csr_matrix
     norm: float
-    _lu: object = field(default=None, repr=False)
+    _lu: list = field(default_factory=list, repr=False)
 
     def factorization(self):
-        """SuperLU factors of the interior block, ordered by minimum degree on A^T + A."""
-        if self._lu is None:
+        """SuperLU factors of the interior block, ordered by minimum degree on A^T + A.
+
+        A factor made on a ``map_frequencies`` worker is destroyed on that
+        worker when the operator is, whichever thread drops the operator.
+        """
+        if not self._lu:
             try:
-                self._lu = spla.splu(self.block, permc_spec="MMD_AT_PLUS_A")
+                self._lu.append(spla.splu(self.block, permc_spec="MMD_AT_PLUS_A"))
             except RuntimeError as exc:  # singular or breakdown
-                raise SolverError(f"sparse factorization failed: {exc}") from exc
-        return self._lu
+                raise SolverError(f"sparse factorization failed at omega={self.omega:g}: {exc}") from exc
+            owner = getattr(_worker, "executor", None)
+            if owner is not None:
+                weakref.finalize(self, _release, owner, self._lu).atexit = False
+        return self._lu[0]
+
+
+def _release(owner: ThreadPoolExecutor, holder: list) -> None:
+    """Empty ``holder`` on the thread of the single-thread executor ``owner``.
+
+    On that thread it is emptied at once: a release queued behind the
+    worker's remaining tasks would keep the factor alive until they finish.
+    """
+    if getattr(_worker, "executor", None) is owner:
+        holder.clear()
+        return
+    try:
+        owner.submit(holder.clear)
+    except RuntimeError:  # interpreter shutdown: the worker takes no more work
+        pass
+
+
+@functools.lru_cache(maxsize=None)
+def _workers(count: int) -> tuple[ThreadPoolExecutor, ...]:
+    """``count`` single-thread executors, created once per thread count."""
+    workers = tuple(ThreadPoolExecutor(max_workers=1, thread_name_prefix="mfeit-freq") for _ in range(count))
+    for w in workers:
+        w.submit(setattr, _worker, "executor", w).result()
+    return workers
+
+
+@functools.lru_cache(maxsize=None)
+def blas_thread_controls() -> tuple:
+    """(getter, setter) of the thread count of every OpenBLAS loaded in the process.
+
+    The libraries are the OpenBLAS builds listed in ``/proc/self/maps``,
+    looked up on the first call; where that file or the symbols are
+    missing, the result is empty.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return ()
+    controls, seen = [], set()
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is None or set_ is None:
+                continue
+            address = ctypes.cast(set_, ctypes.c_void_p).value
+            if address in seen:
+                continue
+            seen.add(address)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+def map_frequencies(fn, items) -> list:
+    """Apply ``fn`` to each per-frequency item; results come back in input order.
+
+    The thread count is read from ``MFEIT_THREADS`` (default 1) and must be
+    a positive integer; anything else raises a ValueError naming the
+    variable.  With one thread, or when called from a pool worker, the
+    items run inline on the calling thread.  With T threads item i runs on
+    the (i mod T)-th of T single-thread workers, which live for the
+    process; each factorization a task makes is destroyed on its worker
+    (see ``EllipticOperator.factorization``).  Either way every loaded
+    OpenBLAS is held at one thread for the call and restored afterwards,
+    so the pool does not oversubscribe the cores and results do not depend
+    on the thread count.  Every task finishes before the first failure, in
+    input order, is raised.
+    """
+    raw = os.environ.get(THREADS_ENV, "1")
+    try:
+        nthreads = int(raw)
+    except ValueError:
+        nthreads = 0
+    if nthreads < 1:
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    items = list(items)
+    controls = blas_thread_controls()
+    found = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        # On a worker, a call runs inline: waiting on its own worker would deadlock.
+        if nthreads == 1 or len(items) <= 1 or hasattr(_worker, "executor"):
+            return [fn(x) for x in items]
+        workers = _workers(nthreads)
+        futures = [workers[i % nthreads].submit(fn, x) for i, x in enumerate(items)]
+        wait(futures)
+        return [f.result() for f in futures]
+    finally:
+        for (_, set_), count in zip(controls, found):
+            set_(count)
 
 
 def assemble(grid: Grid, x: np.ndarray, omega: float) -> EllipticOperator:
@@ -257,7 +395,7 @@ def solve_dirichlet(
             out[..., grid.boundary_index] = bc
             return out.reshape(lead + grid.shape)
     raise SolverError(
-        f"linear solve residual {residual:.3e} exceeds tolerance {SOLVE_RTOL:.1e}",
+        f"linear solve residual {residual:.3e} exceeds tolerance {SOLVE_RTOL:.1e} at omega={op.omega:g}",
         residual=residual,
     )
 

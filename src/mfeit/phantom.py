@@ -18,7 +18,7 @@ import numpy as np
 from .admissible import AdmissibleParams, is_member
 from .mesh import Grid, refine_grid, restrict_injection
 from .objective import Dataset, bump_profile
-from .pde import assemble, solve_dirichlet
+from .pde import assemble, map_frequencies, solve_dirichlet
 from .properbc import canonical_phi
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,10 +107,10 @@ def synthesize_data(spec: PhantomSpec, cfg: RunConfig) -> Dataset:
     phi_fine = canonical_phi(fine)
     freqs = cfg.frequency_grid()
 
-    potentials = [
-        restrict_injection(solve_dirichlet(assemble(fine, x_fine, float(omega)), phi_fine), factor)
-        for omega in freqs.nodes
-    ]
+    def one(omega: float) -> np.ndarray:
+        return restrict_injection(solve_dirichlet(assemble(fine, x_fine, float(omega)), phi_fine), factor)
+
+    potentials = map_frequencies(one, freqs.nodes)
 
     metadata = {
         "phantom": phantom_id(spec),

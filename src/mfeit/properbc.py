@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Grid, grad
-from .pde import assemble, solve_dirichlet
-from .objective import FrequencyGrid, map_frequencies
+from .pde import assemble, map_frequencies, solve_dirichlet
+from .objective import FrequencyGrid
 
 #: Coverage constants below this make the problem effectively non-invertible.
 DEFAULT_LAMBDA_MIN = 1e-6

@@ -9,6 +9,7 @@ from mfeit.cli import main
 from mfeit.config import ConfigError, parse_config_text, serialize_config
 from mfeit.fieldio import read_dataset, read_field, write_dataset, write_field
 from mfeit.mesh import build_grid, l2_norm_sq
+from mfeit.pde import blas_thread_controls, map_frequencies
 from mfeit.phantom import add_noise, make_phantom, synthesize_data
 
 from helpers import ONE_BUMP, TWO_BUMPS
@@ -256,6 +257,11 @@ class TestConfig:
         cfg = RunConfig(mu=None)
         assert parse_config_text(serialize_config(cfg)).mu is None
 
+    def test_percent_sign_in_value_roundtrip(self):
+        # values are read literally: no "%(name)s" interpolation
+        cfg = RunConfig(output_dir="runs/50%1")
+        assert parse_config_text(serialize_config(cfg)) == cfg
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("[grid]\nn = 17\nbogus = 1\n")
@@ -373,6 +379,65 @@ class TestCli:
         assert main(["reconstruct", "--config", str(path), "--data", data_dir]) == 0
         assert cfg.mu is None and cfg.n_freq == 9
         assert len(calls) == 9 * (iters + 1) + 1
+
+    def test_factorizations_destroyed_on_the_thread_that_made_them(self, tmp_path, monkeypatch):
+        # scipy returns a SuperLU factor's memory only when the factor is
+        # freed on the thread that made it; elsewhere the memory leaks
+        import gc
+        import threading
+
+        import scipy.sparse.linalg as spla
+
+        made, freed = {}, {}
+        splu = spla.splu
+
+        class Tracked:
+            def __init__(self, lu):
+                self.lu = lu
+                self.key = len(made)
+                made[self.key] = threading.get_ident()
+
+            def solve(self, rhs):
+                return self.lu.solve(rhs)
+
+            def __del__(self):
+                freed[self.key] = threading.get_ident()
+
+        cfg = RunConfig(n=17, c0=0.2, refinement=1, phantom=ONE_BUMP, max_iters=3,
+                        stop_tol=0.0, allow_low_coverage=True, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "run.cfg"
+        path.write_text(serialize_config(cfg))
+        monkeypatch.setenv("MFEIT_THREADS", "2")
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: Tracked(splu(*a, **k)))
+        assert main(["reconstruct", "--config", str(path)]) == 0
+        gc.collect()
+        map_frequencies(lambda k: k, range(2))  # one task per worker, queued after every release
+        assert len(made) > 9
+        assert freed == made
+        assert len(set(made.values())) == 3  # the main thread and both workers made factors
+
+    def test_outputs_do_not_depend_on_thread_count(self, tmp_path, monkeypatch):
+        # refinement 2 synthesizes at n=129, where OpenBLAS's own threads engage
+        controls = blas_thread_controls()
+        found = [get() for get, _ in controls]
+        trees = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MFEIT_THREADS", threads)
+            out = tmp_path / f"t{threads}"
+            cfg = RunConfig(n=65, refinement=2, phantom=TWO_BUMPS, max_iters=3, stop_tol=0.0,
+                            output_dir=str(out))
+            path = tmp_path / f"t{threads}.cfg"
+            path.write_text(serialize_config(cfg))
+            assert main(["simulate", "--config", str(path), "--out", str(out / "sim")]) == 0
+            assert main(["reconstruct", "--config", str(path), "--out", str(out / "rec")]) == 0
+            trees.append({
+                p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
+            })
+            held = map_frequencies(lambda k: [get() for get, _ in controls], range(2))
+            assert held == [[1] * len(controls)] * 2
+            assert [get() for get, _ in controls] == found
+        assert len(trees[0]) > 10
+        assert trees[0] == trees[1]
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -155,6 +155,7 @@ def test_run_solver_failure_keeps_partial_trajectory(bump_setup, monkeypatch):
     with pytest.raises(SolverError) as excinfo:
         run(x0, data, lcfg)
     assert len(excinfo.value.trajectory) == 2
+    assert excinfo.value.iteration == 3
 
 
 def test_run_discrepancy_principle_stop(bump_setup):

@@ -8,12 +8,11 @@ from mfeit.objective import (
     dF,
     directional_derivative,
     gradient_DJ,
-    map_frequencies,
     misfit_J,
     random_smooth_pair,
     residual_norm_sq,
 )
-from mfeit.pde import assemble, constant_field, solve_dirichlet
+from mfeit.pde import assemble, constant_field, map_frequencies, solve_dirichlet
 from mfeit.phantom import add_noise, make_phantom, synthesize_data
 from mfeit.admissible import project_T
 
@@ -235,6 +234,21 @@ class TestGradient:
         threaded = gradient_DJ(a, data)
         assert np.array_equal(serial[0], threaded[0])
         assert np.array_equal(serial[1], threaded[1])
+
+    def test_nested_frequency_loop_runs_inline(self, monkeypatch):
+        # a task that maps again must not wait on the worker it occupies
+        import threading
+
+        monkeypatch.setenv("MFEIT_THREADS", "2")
+        out = []
+        outer = threading.Thread(
+            target=lambda: out.append(map_frequencies(lambda k: map_frequencies(lambda j: (k, j), range(2)), range(2))),
+            daemon=True,
+        )
+        outer.start()
+        outer.join(timeout=60)
+        assert not outer.is_alive()
+        assert out == [[[(0, 0), (0, 1)], [(1, 0), (1, 1)]]]
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_invalid_thread_count_names_variable(self, monkeypatch, value):

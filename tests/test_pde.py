@@ -287,6 +287,7 @@ def test_multi_column_solve_reports_worst_residual(grid17, monkeypatch):
     with pytest.raises(pde.SolverError) as info:
         solve_dirichlet(op, bc)
     assert np.isfinite(info.value.residual)
+    assert "omega=1.2" in str(info.value)
 
 
 def test_factorization_covers_interior_unknowns_only(grid17):
