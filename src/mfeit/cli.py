@@ -128,6 +128,10 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
 
 
 def cmd_check_gradient(cfg: RunConfig, args) -> int:
+    if args.directions < 1:
+        raise ValueError(f"--directions must be at least 1, got {args.directions}")
+    if not (np.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol must be a finite positive number, got {args.tol}")
     data = _load_or_synthesize(cfg, args.data)
     grid = data.grid
     a = project_T(grid, constant_field(grid, cfg.admissible.sigma0, cfg.admissible.eps0), cfg.admissible)

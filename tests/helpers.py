@@ -78,6 +78,26 @@ def linear_oracle(seed: int = 321, n_mats: int = 3, dim: int = 5):
     return problem, x_star, mu, lambda x, h: [a @ h for a in mats]
 
 
+class CountingLU:
+    """Factor proxy that counts triangular solves and can spoil the first one.
+
+    With ``perturb`` > 0 the first solve's result is perturbed entrywise by
+    that relative amount, as a factor with a poor backward error would be.
+    """
+
+    def __init__(self, lu, perturb=0.0):
+        self.lu = lu
+        self.perturb = perturb
+        self.solves = 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        x = self.lu.solve(rhs)
+        if self.solves == 1 and self.perturb:
+            x = x * (1.0 + self.perturb * np.random.default_rng(0).standard_normal(x.shape))
+        return x
+
+
 def assemble_matrix(grid: Grid, a: np.ndarray, omega: float) -> sp.csc_matrix:
     """Full n^2 x n^2 matrix of ``assemble``, built independently through COO.
 

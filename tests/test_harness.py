@@ -12,7 +12,7 @@ from mfeit.mesh import build_grid, l2_norm_sq
 from mfeit.pde import blas_thread_controls, map_frequencies
 from mfeit.phantom import add_noise, make_phantom, synthesize_data
 
-from helpers import ONE_BUMP, TWO_BUMPS
+from helpers import ONE_BUMP, TWO_BUMPS, CountingLU
 
 
 class TestMakePhantom:
@@ -350,6 +350,18 @@ class TestCli:
         assert main(["check-gradient", "--config", str(path), "--directions", "2"]) == 0
         assert "max relative error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "option",
+        ["--directions=0", "--directions=-3", "--tol=nan", "--tol=inf", "--tol=0", "--tol=-1e-4"],
+    )
+    def test_check_gradient_rejects_bad_option(self, constant_cfg, capsys, option):
+        # zero directions check nothing, and a NaN tolerance passes any error
+        path, _ = constant_cfg
+        assert main(["check-gradient", "--config", path, option]) == 2
+        captured = capsys.readouterr()
+        assert option.split("=")[0] in captured.err
+        assert "max relative error" not in captured.out
+
     def test_init_guess_writes_fields(self, tmp_path):
         cfg = RunConfig(n=17, c0=0.2, n_freq=2, refinement=2, phantom=ONE_BUMP,
                         output_dir=str(tmp_path / "out"))
@@ -363,7 +375,8 @@ class TestCli:
 
     def test_reconstruct_reuses_start_factorizations(self, tmp_path, monkeypatch):
         # init guess 1 + coverage 9 + step-size estimate 9 + 9 per step
-        # after the first, which reuses the estimate's forward states
+        # after the first, which reuses the estimate's forward states; every
+        # solve passes the gate on its first triangular solve
         import scipy.sparse.linalg as spla
 
         iters = 2
@@ -372,13 +385,14 @@ class TestCli:
         path = tmp_path / "run.cfg"
         path.write_text(serialize_config(cfg))
         assert main(["simulate", "--config", str(path)]) == 0
-        calls = []
+        made = []
         splu = spla.splu
-        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: made.append(CountingLU(splu(*a, **k))) or made[-1])
         data_dir = str(tmp_path / "out" / "dataset")
         assert main(["reconstruct", "--config", str(path), "--data", data_dir]) == 0
         assert cfg.mu is None and cfg.n_freq == 9
-        assert len(calls) == 9 * (iters + 1) + 1
+        assert len(made) == 9 * (iters + 1) + 1
+        assert sum(lu.solves for lu in made) == 154 + 18 * iters
 
     def test_factorizations_destroyed_on_the_thread_that_made_them(self, tmp_path, monkeypatch):
         # scipy returns a SuperLU factor's memory only when the factor is

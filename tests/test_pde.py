@@ -4,6 +4,7 @@ import pytest
 from mfeit.mesh import build_grid, l2_norm_sq
 from mfeit.objective import random_smooth_pair
 from mfeit.pde import (
+    SOLVE_RTOL,
     adjoint_rhs,
     apply_div_coeff_grad,
     assemble,
@@ -15,7 +16,7 @@ from mfeit.pde import (
 )
 from mfeit.properbc import canonical_phi
 
-from helpers import TWO_BUMPS, assemble_matrix
+from helpers import TWO_BUMPS, CountingLU, assemble_matrix
 from mfeit.phantom import make_phantom
 
 
@@ -288,6 +289,53 @@ def test_multi_column_solve_reports_worst_residual(grid17, monkeypatch):
         solve_dirichlet(op, bc)
     assert np.isfinite(info.value.residual)
     assert "omega=1.2" in str(info.value)
+
+
+def _full_backward_error(g, a, omega, u, bc, src):
+    """Worst column's ``|Ax-b| / (|A|_inf |x| + |b|)`` on the full n^2 system."""
+    A = assemble_matrix(g, a, omega)
+    norm = max(1.0, float(np.max(np.abs(A).sum(axis=1))))
+    worst = 0.0
+    for uc, bcc, srcc in zip(u, bc, src):
+        b = srcc.astype(complex).reshape(-1)
+        b[g.boundary_index] = bcc
+        x = uc.reshape(-1)
+        r = A @ x - b
+        worst = max(worst, np.linalg.norm(r) / (norm * np.linalg.norm(x) + np.linalg.norm(b)))
+    return worst
+
+
+def _solve_counted(g, a, m, monkeypatch, perturb=0.0):
+    op = assemble(g, a, 1.5)
+    lu = CountingLU(op.factorization(), perturb)
+    monkeypatch.setattr(op, "factorization", lambda: lu)
+    rng = np.random.default_rng(11)
+    nb = len(g.boundary_index)
+    bc = rng.standard_normal((m, nb)) + 1j * rng.standard_normal((m, nb))
+    src = rng.standard_normal((m,) + g.shape) + 1j * rng.standard_normal((m,) + g.shape)
+    if m == 1:
+        u = solve_dirichlet(op, bc[0], src[0])[None]
+    else:
+        u = solve_dirichlet(op, bc, src)
+    return u, bc, src, lu
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_solve_accepts_first_triangular_solve(smooth_field33, m, monkeypatch):
+    g, a = smooth_field33
+    u, bc, src, lu = _solve_counted(g, a, m, monkeypatch)
+    assert lu.solves == 1
+    assert _full_backward_error(g, a, 1.5, u, bc, src) <= SOLVE_RTOL
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_solve_refines_when_first_solve_misses(smooth_field33, m, monkeypatch):
+    g, a = smooth_field33
+    clean, *_ = _solve_counted(g, a, m, monkeypatch)
+    u, bc, src, lu = _solve_counted(g, a, m, monkeypatch, perturb=1e-6)
+    assert lu.solves == 2
+    assert _full_backward_error(g, a, 1.5, u, bc, src) <= SOLVE_RTOL
+    assert np.max(np.abs(u - clean)) <= 1e-12 * np.max(np.abs(clean))
 
 
 def test_factorization_covers_interior_unknowns_only(grid17):
