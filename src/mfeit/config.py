@@ -75,8 +75,9 @@ class RunConfig:
             raise ConfigError("[noise] level must be nonnegative")
         if self.noise_seed < 0:
             raise ConfigError(f"[noise] seed must be nonnegative, got {self.noise_seed}")
-        if self.pinv_tol <= 0.0:
-            raise ConfigError(f"[initguess] pinv_tol must be positive, got {self.pinv_tol!r}")
+        if not 0.0 < self.pinv_tol < 1.0:
+            # a cutoff of 1 or more zeroes every pseudo-inverse: the guess would be the background
+            raise ConfigError(f"[initguess] pinv_tol must lie in (0, 1), got {self.pinv_tol!r}")
         if self.log_every < 0:
             raise ConfigError(f"[landweber] log_every must be nonnegative, got {self.log_every}")
         if self.n_freq < 1:

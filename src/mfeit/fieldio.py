@@ -76,20 +76,20 @@ def read_field(base: str) -> tuple[np.ndarray, dict]:
 
 def write_field_csv(path: str, values: np.ndarray, grid: Grid) -> None:
     """CSV export of a nodal field: i, j, x, y, value columns (re/im if complex)."""
-    values = np.asarray(values)
-    complex_field = np.iscomplexobj(values)
+    values = np.asarray(values).reshape(grid.shape)
+    if np.iscomplexobj(values):
+        header = "i,j,x,y,re,im\n"
+        re = values.real.astype(float).ravel().tolist()
+        im = values.imag.astype(float).ravel().tolist()
+        cells = [f"{a!r},{b!r}" for a, b in zip(re, im)]
+    else:
+        header = "i,j,x,y,value\n"
+        cells = [repr(v) for v in values.astype(float).ravel().tolist()]
+    xs = [repr(x) for x in grid.xs.astype(float).tolist()]
+    nodes = ((i, j) for i in range(grid.n) for j in range(grid.n))
+    rows = [f"{i},{j},{xs[i]},{xs[j]},{cell}\n" for (i, j), cell in zip(nodes, cells)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i,j,x,y,re,im\n" if complex_field else "i,j,x,y,value\n")
-        for i in range(grid.n):
-            for j in range(grid.n):
-                x, y = grid.xs[i], grid.xs[j]
-                if complex_field:
-                    fh.write(
-                        f"{i},{j},{_fmt(float(x))},{_fmt(float(y))},"
-                        f"{_fmt(float(values[i, j].real))},{_fmt(float(values[i, j].imag))}\n"
-                    )
-                else:
-                    fh.write(f"{i},{j},{_fmt(float(x))},{_fmt(float(y))},{_fmt(float(values[i, j]))}\n")
+        fh.write(header + "".join(rows))
 
 
 def write_dataset(directory: str, data: Dataset) -> None:

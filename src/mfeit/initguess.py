@@ -2,12 +2,14 @@
 
 For each measured frequency the log-admittivity satisfies a Poisson
 equation whose right-hand side is computable from the measured potential
-pair (its gradient matrix and the row-wise divergence of that matrix,
-combined through a pseudo-inverse).  Exponentials of the per-frequency
-solutions are averaged over the band; the real part is the conductivity
-guess and the imaginary part, divided by the band midpoint, the
-permittivity guess.  The result is projected into the admissible set
-before use.
+pair: with A its 2x2 gradient matrix and s the row-wise divergence of A,
+the right-hand side is the divergence of ``w = -pinv(A^T) s``.  The
+pseudo-inverse drops singular values of A at or below ``sqrt(pinv_tol)``
+times the largest, which is the cutoff ``pinv_tol`` on the singular values
+of ``conj(A) A^T``.  Exponentials of the per-frequency solutions are
+averaged over the band; the real part is the conductivity guess and the
+imaginary part, divided by the band midpoint, the permittivity guess.  The
+result is projected into the admissible set before use.
 """
 
 from __future__ import annotations
@@ -29,35 +31,64 @@ DEFAULT_PINV_TOL = 1e-8
 
 
 def pinv2x2(m: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of (stacked) complex 2x2 matrices.
+    """Moore-Penrose pseudo-inverse of (stacked) complex 2x2 matrices, in closed form.
 
-    Singular values below ``tol`` times the largest one of each matrix are
-    treated as zero, so rank-deficient gradient matrices invert to the
-    inverse on their range and a zero matrix maps to zero.
+    Singular values at or below ``tol`` times the largest one of each matrix
+    are treated as zero, as ``np.linalg.pinv(m, rcond=tol)`` does.  With
+    ``s1**2`` the larger eigenvalue of the Gram matrix ``m^H m`` and
+    ``|det m| = s1 s2``, a matrix is full rank when ``|det m| > tol s1**2``
+    and inverts to ``adj(m) / det m``.  A rank-one matrix inverts to
+    ``v (m v)^H / (s1**2 |v|**2)``, with ``v`` a top eigenvector of the Gram
+    matrix.  A zero matrix, and every matrix once ``tol >= 1``, maps to zero.
+    ``gamma_rhs`` applies it to ``A^T`` with ``tol = sqrt(pinv_tol)``.
     """
     if tol <= 0.0:
         raise ValueError("pseudo-inverse tolerance must be positive")
     m = np.asarray(m, dtype=complex)
-    u, s, vh = np.linalg.svd(m)
-    cutoff = tol * np.max(s, axis=-1, keepdims=True)
-    s_inv = np.where(s > cutoff, 1.0 / np.where(s > 0.0, s, 1.0), 0.0)
-    return np.einsum("...ji,...j,...kj->...ik", np.conj(vh), s_inv, np.conj(u))
+    if tol >= 1.0:
+        return np.zeros_like(m)
+    a, b, c, d = (m[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    # scale each matrix by a power of two (exact) so that no product below overflows
+    _, e = np.frexp(np.maximum.reduce([np.abs(x) for z in (a, b, c, d) for x in (z.real, z.imag)]))
+    a, b, c, d = (np.ldexp(z.real, -e) + 1j * np.ldexp(z.imag, -e) for z in (a, b, c, d))
+    p = a.real**2 + a.imag**2 + c.real**2 + c.imag**2
+    r = b.real**2 + b.imag**2 + d.real**2 + d.imag**2
+    q = np.conj(a) * b + np.conj(c) * d  # Gram matrix [[p, q], [conj(q), r]]
+    half = 0.5 * (p - r)
+    h = np.hypot(half, np.abs(q))
+    s1 = 0.5 * (p + r) + h
+    det = a * d - b * c
+    full = np.abs(det) > tol * s1
+    # top eigenvector of the Gram matrix, from the row whose entries do not cancel
+    first = half >= 0.0
+    v0 = np.where(first, half + h, q)
+    v1 = np.where(first, np.conj(q), h - half)
+    vv = v0.real**2 + v0.imag**2 + v1.real**2 + v1.imag**2
+    mv0 = np.conj(a * v0 + b * v1)
+    mv1 = np.conj(c * v0 + d * v1)
+    # a zero matrix divides by infinity: zero, and no warning
+    inv = np.ldexp(1.0, -e) / np.where(full, det, np.where(vv > 0.0, s1 * vv, np.inf))
+    adj = np.stack((d, -b, -c, a), axis=-1)
+    outer = np.stack((v0 * mv0, v0 * mv1, v1 * mv0, v1 * mv1), axis=-1)
+    return (np.where(full[..., None], adj, outer) * inv[..., None]).reshape(m.shape)
 
 
 def gamma_rhs(grid: Grid, u: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
     """Right-hand side of the log-admittivity Poisson equation.
 
     Per node: A has rows grad(u[0]), grad(u[1]) of the measured pair u,
-    shape (2, n, n); s is the row-wise divergence
-    of A; the nodal vector is ``-(conj(A) A^T)^+ conj(A) s`` and the field
-    value is the divergence of that vector field.
+    shape (2, n, n); s is the row-wise divergence of A; the nodal vector
+    is ``w = -pinv(A^T) s`` and the field value is the divergence of that
+    vector field.  ``pinv(A^T) = (conj(A) A^T)^+ conj(A)``, and the cutoff
+    ``sqrt(tol)`` on the singular values of ``A^T`` is the cutoff ``tol`` on
+    those of ``conj(A) A^T``; forming that product would square the
+    condition number.
     """
     g1 = grad(grid, u[0])
     g2 = grad(grid, u[1])
-    a = np.stack([g1, g2], axis=-2)  # (n, n, row, col)
+    at = np.stack([g1, g2], axis=-1)  # (n, n, col, row): A^T
     s = np.stack([div(grid, g1), div(grid, g2)], axis=-1)
-    b = np.einsum("...ij,...kj->...ik", np.conj(a), a)  # conj(A) @ A^T
-    w = -np.einsum("...ij,...jk,...k->...i", pinv2x2(b, tol), np.conj(a), s)
+    w = -np.sum(pinv2x2(at, np.sqrt(tol)) * s[..., None, :], axis=-1)
     return div(grid, w)
 
 

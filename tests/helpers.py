@@ -251,3 +251,25 @@ def solve_gamma(
     gamma, violations = fold_imag(gamma)
     _warn_branch(violations, omega)
     return gamma
+
+
+def write_field_csv_per_node(path: str, values: np.ndarray, grid: Grid) -> None:
+    """Node-by-node CSV export: the reference for ``fieldio.write_field_csv``'s bytes."""
+
+    def fmt(value) -> str:
+        return repr(value) if isinstance(value, float) else str(value)
+
+    values = np.asarray(values)
+    complex_field = np.iscomplexobj(values)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("i,j,x,y,re,im\n" if complex_field else "i,j,x,y,value\n")
+        for i in range(grid.n):
+            for j in range(grid.n):
+                x, y = grid.xs[i], grid.xs[j]
+                if complex_field:
+                    fh.write(
+                        f"{i},{j},{fmt(float(x))},{fmt(float(y))},"
+                        f"{fmt(float(values[i, j].real))},{fmt(float(values[i, j].imag))}\n"
+                    )
+                else:
+                    fh.write(f"{i},{j},{fmt(float(x))},{fmt(float(y))},{fmt(float(values[i, j]))}\n")

@@ -7,12 +7,12 @@ import pytest
 from mfeit import RunConfig, PhantomSpec, Inclusion
 from mfeit.cli import main
 from mfeit.config import ConfigError, parse_config_text, serialize_config
-from mfeit.fieldio import read_dataset, read_field, write_dataset, write_field
+from mfeit.fieldio import read_dataset, read_field, write_dataset, write_field, write_field_csv
 from mfeit.mesh import build_grid, l2_norm_sq
 from mfeit.pde import blas_thread_controls, map_frequencies
 from mfeit.phantom import add_noise, make_phantom, synthesize_data
 
-from helpers import ONE_BUMP, TWO_BUMPS, CountingLU
+from helpers import ONE_BUMP, TWO_BUMPS, CountingLU, write_field_csv_per_node
 
 
 class TestMakePhantom:
@@ -155,6 +155,21 @@ class TestFieldIO:
             with open(os.path.join(d1, name), "rb") as fa, open(os.path.join(d2, name), "rb") as fb:
                 assert fa.read() == fb.read(), name
 
+    @pytest.mark.parametrize("kind", ["real", "complex", "extreme", "int"])
+    def test_csv_bytes_match_per_node_writer(self, tmp_path, kind):
+        g = build_grid(17, 0.2)
+        rng = np.random.default_rng(1)
+        f = {
+            "real": rng.standard_normal(g.shape),
+            "complex": rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape),
+            "extreme": rng.choice([1e300, -1e300, 1e-300, -1e-300, 0.0, -0.0], g.shape)
+            + 1j * rng.choice([1e300, -1e-300, 5e-324], g.shape),
+            "int": rng.integers(-5, 5, g.shape),
+        }[kind]
+        write_field_csv(str(tmp_path / "new.csv"), f, g)
+        write_field_csv_per_node(str(tmp_path / "ref.csv"), f, g)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 
 class TestDatasetValidation:
@@ -288,6 +303,8 @@ class TestConfig:
             ("[initguess]\npinv_tol = nan\n", "pinv_tol"),
             ("[initguess]\npinv_tol = -1\n", "pinv_tol"),
             ("[initguess]\npinv_tol = 0\n", "pinv_tol"),
+            ("[initguess]\npinv_tol = 1\n", r"\[initguess\] pinv_tol"),
+            ("[initguess]\npinv_tol = 2.5\n", r"\[initguess\] pinv_tol"),
             ("[landweber]\nlog_every = -1\n", "log_every"),
             ("[noise]\nlevel = nan\n", "level"),
             ("[admissible]\nc4 = inf\n", "c4"),
@@ -458,6 +475,13 @@ class TestCli:
         bad.write_text("[grid]\nn = banana\n")
         assert main(["coverage", "--config", str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_pinv_tol_of_one_exits_2(self, tmp_path, capsys):
+        # a cutoff of 1 zeroes every pseudo-inverse, so the guess would silently be the background
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[initguess]\npinv_tol = 1.0\n")
+        assert main(["init-guess", "--config", str(bad), "--data", str(tmp_path / "none")]) == 2
+        assert "[initguess] pinv_tol" in capsys.readouterr().err
 
     def test_grid_mismatch_exits_2(self, tmp_path, constant_cfg):
         path, out = constant_cfg

@@ -2,6 +2,9 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mfeit import RunConfig, PhantomSpec
 from mfeit.admissible import is_member
@@ -55,6 +58,73 @@ class TestPinv:
         with pytest.raises(ValueError):
             pinv2x2(np.eye(2), tol=0.0)
 
+    def test_rank_one_stack_matches_numpy(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+        y = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+        m = x[:, :, None] * np.conj(y[:, None, :])  # x y^H
+        ref = np.linalg.pinv(m, rcond=1e-8)
+        rel = np.max(np.abs(pinv2x2(m) - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
+        assert np.max(rel) < 1e-14
+
+    def test_mixed_stack_in_one_call(self):
+        rng = np.random.default_rng(6)
+        full = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        rank_one = np.outer(x, np.conj(x[::-1]))
+        near = np.diag([1.0, 1e-9])  # below the cutoff: inverted on its range only
+        m = np.stack([full, rank_one, np.zeros((2, 2)), near, 3.0 * full, np.zeros((2, 2))]).reshape(2, 3, 2, 2)
+        p = pinv2x2(m)
+        assert p.shape == m.shape
+        for got, mat in zip(p.reshape(-1, 2, 2), m.reshape(-1, 2, 2)):
+            ref = np.linalg.pinv(mat, rcond=1e-8)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(p[0, 2], np.zeros((2, 2))) and np.array_equal(p[1, 2], np.zeros((2, 2)))
+
+    def test_tol_at_least_one_gives_zero(self):
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+        for tol in (1.0, 2.5):
+            assert np.array_equal(pinv2x2(m, tol), np.zeros_like(m))
+            assert np.array_equal(pinv2x2(np.eye(2), tol), np.zeros((2, 2)))
+
+
+# Entries are zero or of magnitude in [1e-100, 1e100], so that every
+# pseudo-inverse is representable; within that range any finite stack goes.
+_ENTRIES = st.just(0j) | st.complex_numbers(
+    min_magnitude=1e-100, max_magnitude=1e100, allow_nan=False, allow_infinity=False
+)
+_STACKS = arrays(np.complex128, st.tuples(st.integers(1, 5), st.just(2), st.just(2)), elements=_ENTRIES, fill=st.nothing())
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    phases=[Phase.generate],
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(m=_STACKS)
+def test_pinv_penrose_identities_for_arbitrary_stacks(m):
+    # The four Penrose identities, each relative to the scale it carries: m p m = m
+    # relative to |m|, p m p = p relative to |p|, and m p, p m Hermitian.  At the
+    # default cutoff 1e-8 a full-rank inverse is exact to about eps * cond <= eps / 1e-8
+    # and a truncated one drops a singular value of at most 1e-8 |m|.
+    p = pinv2x2(m)
+    assert np.all(np.isfinite(p))
+    for mat, inv in zip(m, p):
+        scale_m = np.max(np.abs(mat))
+        if scale_m == 0.0:
+            assert np.array_equal(inv, np.zeros((2, 2)))
+            continue
+        scale_p = np.max(np.abs(inv))
+        mp_, pm = mat @ inv, inv @ mat
+        assert np.max(np.abs(mp_ @ mat - mat)) <= 1e-6 * scale_m
+        assert np.max(np.abs(pm @ inv - inv)) <= 1e-6 * scale_p
+        assert np.max(np.abs(mp_.conj().T - mp_)) <= 1e-6
+        assert np.max(np.abs(pm.conj().T - pm)) <= 1e-6
+
 
 class TestGammaRhs:
     def test_zero_for_constant_medium_data(self):
@@ -63,7 +133,11 @@ class TestGammaRhs:
         assert np.max(np.abs(gamma_rhs(g, u))) < 1e-12
 
     def test_matches_independent_nodal_evaluation(self):
-        # second implementation path on raw arrays, node by node
+        # second implementation path on raw arrays, node by node: w = -pinv(A^T) s
+        # with the cutoff sqrt(1e-8) on A's singular values.  The former reference,
+        # -pinv(conj(A) A^T, rcond=1e-8) conj(A) s, is the same vector but squares
+        # the condition number: at node (0, 1) (cond 581) it lies 1.1e-8 from a
+        # 50-digit mpmath evaluation, while pinv(A^T) lies 3.0e-13 from it.
         g = build_grid(17, 0.2)
         u = np.stack(((g.X**2 + 0.3j * g.Y).astype(complex), (g.Y + 0.1 * g.X * g.Y).astype(complex)))
         lib = gamma_rhs(g, u)
@@ -77,7 +151,7 @@ class TestGammaRhs:
             for j in range(g.n):
                 a = np.array([[g1[i, j, 0], g1[i, j, 1]], [g2[i, j, 0], g2[i, j, 1]]])
                 s = np.array([s1[i, j], s2[i, j]])
-                w[i, j] = -np.linalg.pinv(np.conj(a) @ a.T, rcond=1e-8) @ np.conj(a) @ s
+                w[i, j] = -np.linalg.pinv(a.T, rcond=1e-4) @ s
         manual = div(g, w)
         assert np.max(np.abs(lib - manual)) < 1e-10
 
