@@ -2,8 +2,10 @@
 
 Subcommands: ``simulate`` (phantom -> dataset), ``init-guess``,
 ``reconstruct``, ``check-gradient``, ``coverage``.  Every subcommand takes
-``--config`` plus optional overrides.  Exit codes: 0 success, 2 validation
-or configuration error, 3 solver/numerical failure.
+``--config`` and an optional ``--out``; the commands that read a dataset
+(``init-guess``, ``reconstruct``, ``check-gradient``) also take ``--data``,
+and the others reject it.  Exit codes: 0 success, 2 validation or
+configuration error, 3 solver/numerical failure.
 """
 
 from __future__ import annotations
@@ -174,21 +176,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="enable progress logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_data=False):
+    def common(p):
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
+        return p
+
+    # Only the commands that read a dataset take --data; the others reject it.
+    def dataset(p, required=False):
         p.add_argument(
             "--data",
             default=None,
-            required=needs_data,
-            help="dataset directory" + ("" if needs_data else " (synthesized from config if omitted)"),
+            required=required,
+            help="dataset directory" + ("" if required else " (synthesized from config if omitted)"),
         )
+        return p
 
     common(sub.add_parser("simulate", help="synthesize a dataset from the config phantom"))
-    common(sub.add_parser("init-guess", help="compute the data-driven initial guess"), needs_data=True)
-    common(sub.add_parser("reconstruct", help="run the projected Landweber reconstruction"))
-    p_grad = sub.add_parser("check-gradient", help="compare the adjoint gradient to finite differences")
-    common(p_grad)
+    dataset(common(sub.add_parser("init-guess", help="compute the data-driven initial guess")), required=True)
+    dataset(common(sub.add_parser("reconstruct", help="run the projected Landweber reconstruction")))
+    p_grad = dataset(
+        common(sub.add_parser("check-gradient", help="compare the adjoint gradient to finite differences"))
+    )
     p_grad.add_argument("--directions", type=int, default=5, help="number of random probe directions")
     p_grad.add_argument("--tol", type=float, default=1e-4, help="acceptable relative error")
     common(sub.add_parser("coverage", help="coverage diagnostics of the config phantom"))

@@ -17,7 +17,15 @@ from mfeit.initguess import DEFAULT_PINV_TOL, _log_bc, _warn_branch, fold_imag, 
 from mfeit.landweber import GenericProblem, LandweberConfig, run
 from mfeit.mesh import Grid, face_diff_x, face_diff_y, h1_norm_sq, l2_norm_sq, laplacian
 from mfeit.objective import Dataset, FrequencyGrid, bump_profile, dF, forward_states
-from mfeit.pde import SolverError, assemble, solve_dirichlet, solve_poisson
+from mfeit.pde import (
+    SOLVE_RTOL,
+    EllipticOperator,
+    SolverError,
+    assemble,
+    operator_pattern,
+    solve_dirichlet,
+    solve_poisson,
+)
 
 
 TWO_BUMPS = PhantomSpec(
@@ -83,15 +91,19 @@ class CountingLU:
 
     With ``perturb`` > 0 the first solve's result is perturbed entrywise by
     that relative amount, as a factor with a poor backward error would be.
+    ``layouts`` records, per solve, the right-hand side's shape, dtype and
+    whether it is Fortran-contiguous.
     """
 
     def __init__(self, lu, perturb=0.0):
         self.lu = lu
         self.perturb = perturb
         self.solves = 0
+        self.layouts = []
 
     def solve(self, rhs):
         self.solves += 1
+        self.layouts.append((rhs.shape, rhs.dtype, rhs.flags.f_contiguous))
         x = self.lu.solve(rhs)
         if self.solves == 1 and self.perturb:
             x = x * (1.0 + self.perturb * np.random.default_rng(0).standard_normal(x.shape))
@@ -144,6 +156,45 @@ def assemble_matrix(grid: Grid, a: np.ndarray, omega: float) -> sp.csc_matrix:
     diag[grid.boundary_index] = 1.0
     mat = mat + sp.diags(diag)
     return mat.tocsc()
+
+
+def reference_solve_dirichlet(op: EllipticOperator, bc: np.ndarray, src: np.ndarray | None = None) -> np.ndarray:
+    """``solve_dirichlet`` as it was written before its layout work: the bit-identity oracle.
+
+    It gathers and scatters the interior through ``operator_pattern(n).inner``,
+    hands SuperLU C-ordered columns and takes column norms with
+    ``np.linalg.norm``.  Same gate, same sweeps, same result bits.
+    """
+    grid = op.grid
+    inner = operator_pattern(grid.n).inner
+    bc = np.asarray(bc, dtype=complex)
+    lead = bc.shape[:-1]
+    if src is None:
+        b = np.zeros(lead + (inner.size,), dtype=complex)
+    else:
+        b = np.asarray(src, dtype=complex).reshape(lead + (grid.num_nodes,))[..., inner]
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(bc))):
+        raise ValueError("non-finite right-hand side")
+    bc_cols = np.ascontiguousarray(bc.T)
+    b = np.ascontiguousarray(b.T)
+
+    lu = op.factorization()
+    norm_bc = np.linalg.norm(bc_cols, axis=0)
+    norm_b = np.hypot(np.linalg.norm(b, axis=0), norm_bc)
+    c = b - op.coupling @ bc_cols
+    x = lu.solve(c)
+    for sweep in range(3):
+        if sweep:
+            x += lu.solve(r)
+        r = c - op.block @ x
+        scale = op.norm * np.hypot(np.linalg.norm(x, axis=0), norm_bc) + norm_b
+        residual = float(np.max(np.linalg.norm(r, axis=0) / np.maximum(scale, 1e-300)))
+        if np.isfinite(residual) and residual <= SOLVE_RTOL:
+            out = np.empty(lead + (grid.num_nodes,), dtype=complex)
+            out[..., inner] = x.T
+            out[..., grid.boundary_index] = bc
+            return out.reshape(lead + grid.shape)
+    raise SolverError(f"linear solve residual {residual:.3e} exceeds tolerance {SOLVE_RTOL:.1e}", residual=residual)
 
 
 def h1_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex:

@@ -341,6 +341,15 @@ class TestCli:
         path.write_text(serialize_config(cfg))
         return str(path), str(tmp_path / "out")
 
+    @pytest.mark.parametrize("command", ["simulate", "coverage"])
+    def test_data_rejected_by_commands_that_read_no_dataset(self, constant_cfg, tmp_path, command, capsys):
+        path, out = constant_cfg
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", path, "--data", str(tmp_path / "nonexistent")])
+        assert info.value.code == 2
+        assert "--data" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_coverage_prints_interval_length(self, constant_cfg, capsys):
         path, out = constant_cfg
         assert main(["coverage", "--config", path]) == 0

@@ -16,7 +16,7 @@ from mfeit.pde import (
 )
 from mfeit.properbc import canonical_phi
 
-from helpers import TWO_BUMPS, CountingLU, assemble_matrix
+from helpers import TWO_BUMPS, CountingLU, assemble_matrix, reference_solve_dirichlet
 from mfeit.phantom import make_phantom
 
 
@@ -336,6 +336,82 @@ def test_solve_refines_when_first_solve_misses(smooth_field33, m, monkeypatch):
     assert lu.solves == 2
     assert _full_backward_error(g, a, 1.5, u, bc, src) <= SOLVE_RTOL
     assert np.max(np.abs(u - clean)) <= 1e-12 * np.max(np.abs(clean))
+
+
+@pytest.mark.parametrize("perturb", [0.0, 1e-6])
+@pytest.mark.parametrize("m", [2, 9])
+def test_solve_hands_superlu_its_fortran_layout(smooth_field33, m, perturb, monkeypatch):
+    g, a = smooth_field33
+    *_, lu = _solve_counted(g, a, m, monkeypatch, perturb=perturb)
+    assert lu.solves == (2 if perturb else 1)
+    ni = (g.n - 2) ** 2
+    assert lu.layouts == [((ni, m), np.dtype(complex), True)] * lu.solves
+
+
+def test_pattern_inner_is_row_major_interior_slice():
+    for n in (5, 17, 33):
+        flat = np.arange(n * n).reshape(n, n)[1:-1, 1:-1].reshape(-1)
+        assert np.array_equal(operator_pattern(n).inner, flat)
+
+
+@pytest.mark.parametrize("with_src", [False, True])
+@pytest.mark.parametrize("lead", [(), (1,), (2,), (9,)])
+@pytest.mark.parametrize("omega", [0.0, 1.7])
+@pytest.mark.parametrize("n", [17, 33])
+def test_solve_matches_reference_bit_for_bit(n, omega, lead, with_src):
+    g = build_grid(n, 0.2)
+    a = 1.0 + 0.3 * random_smooth_pair(g, np.random.default_rng(n))
+    op = assemble(g, a, omega)
+    rng = np.random.default_rng(7)
+    nb = len(g.boundary_index)
+    bc = rng.standard_normal(lead + (nb,)) + 1j * rng.standard_normal(lead + (nb,))
+    src = rng.standard_normal(lead + g.shape) + 1j * rng.standard_normal(lead + g.shape) if with_src else None
+    u = solve_dirichlet(op, bc, src)
+    ref = reference_solve_dirichlet(op, bc, src)
+    assert u.shape == ref.shape == lead + g.shape
+    assert np.array_equal(u.view(float), ref.view(float))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_non_finite_bc_or_interior_src(grid17, bad):
+    g = grid17
+    op = assemble(g, constant_field(g, 1.0, 1.0), 1.0)
+    bc = np.stack([g.trace(g.X), g.trace(g.Y)]).astype(complex)
+    src = np.ones((2,) + g.shape, dtype=complex)
+    bad_bc = bc.copy()
+    bad_bc[1, 3] = bad
+    with pytest.raises(ValueError, match="non-finite right-hand side"):
+        solve_dirichlet(op, bad_bc, src)
+    bad_src = src.copy()
+    bad_src[0, 5, 7] = complex(0.0, bad)  # imaginary part only
+    with pytest.raises(ValueError, match="non-finite right-hand side"):
+        solve_dirichlet(op, bc, bad_src)
+    with pytest.raises(ValueError, match="non-finite right-hand side"):
+        solve_dirichlet(op, bc[0], bad_src[0])
+
+
+def test_solve_takes_finite_input_whose_norm_overflows(grid17):
+    g = grid17
+    op = assemble(g, constant_field(g, 1.0, 1.0), 1.0)
+    bc = np.stack([g.trace(g.X), g.trace(g.Y)]).astype(complex) * 1e160
+    src = np.full((2,) + g.shape, 3e159 + 1e159j)
+    u = solve_dirichlet(op, bc, src)
+    with np.errstate(over="ignore"):  # np.linalg.norm squares its input
+        ref = reference_solve_dirichlet(op, bc, src)
+    assert np.isfinite(u).all()
+    assert np.array_equal(u.view(float), ref.view(float))
+
+
+def test_solve_ignores_non_finite_src_on_boundary_ring(grid17):
+    g = grid17
+    op = assemble(g, constant_field(g, 1.0, 1.0), 1.0)
+    bc = np.stack([g.trace(g.X), g.trace(g.Y)]).astype(complex)
+    src = np.ones((2,) + g.shape, dtype=complex)
+    dirty = src.copy()
+    dirty[0, 0, 4] = np.nan
+    dirty[1, -1, -1] = np.inf
+    dirty[1, 6, 0] = -np.inf
+    assert np.array_equal(solve_dirichlet(op, bc, dirty).view(float), solve_dirichlet(op, bc, src).view(float))
 
 
 def test_factorization_covers_interior_unknowns_only(grid17):
