@@ -8,6 +8,7 @@ from .pde import (
     constant_field,
     solve_adjoint,
     solve_dirichlet,
+    solve_frequencies,
     solve_poisson,
 )
 from .admissible import AdmissibleParams, MembershipReport, is_member, project_T

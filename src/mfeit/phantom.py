@@ -18,7 +18,7 @@ import numpy as np
 from .admissible import AdmissibleParams, is_member
 from .mesh import Grid, refine_grid, restrict_injection
 from .objective import Dataset, bump_profile
-from .pde import assemble, map_frequencies, solve_dirichlet
+from .pde import solve_frequencies
 from .properbc import canonical_phi
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,11 +94,13 @@ def make_phantom(
 
 
 def synthesize_data(spec: PhantomSpec, cfg: RunConfig) -> Dataset:
-    """Forward-solve the phantom per frequency on a refined grid and restrict.
+    """Forward-solve the phantom at every frequency on a refined grid and restrict.
 
-    The returned dataset lives on the reconstruction grid; its boundary
-    values equal the driving traces exactly because the refined boundary
-    nodes coincide with the coarse ones.
+    One ``solve_frequencies`` sweep serves all frequencies; each state is
+    restricted as soon as it is accepted.  The returned dataset lives on
+    the reconstruction grid; its boundary values equal the driving traces
+    exactly because the refined boundary nodes coincide with the coarse
+    ones.
     """
     coarse = cfg.build_grid()
     factor = cfg.refinement
@@ -106,11 +108,7 @@ def synthesize_data(spec: PhantomSpec, cfg: RunConfig) -> Dataset:
     x_fine = np.stack(make_phantom(spec, fine, cfg.admissible))
     phi_fine = canonical_phi(fine)
     freqs = cfg.frequency_grid()
-
-    def one(omega: float) -> np.ndarray:
-        return restrict_injection(solve_dirichlet(assemble(fine, x_fine, float(omega)), phi_fine), factor)
-
-    potentials = map_frequencies(one, freqs.nodes)
+    potentials = solve_frequencies(fine, x_fine, freqs.nodes, phi_fine, lambda u: restrict_injection(u, factor))
 
     metadata = {
         "phantom": phantom_id(spec),

@@ -228,6 +228,28 @@ def test_criterion_7_end_to_end_convergence(e2e_outputs):
     )
 
 
+#: Criterion 7's trajectory as the code last meant it to be; a change that
+#: moves these numbers on purpose regenerates the file and says by how much.
+REFERENCE_TRAJECTORY = os.path.join(os.path.dirname(__file__), "data", "e2e_trajectory.csv")
+
+
+def test_criterion_7_trajectory_matches_reference(e2e_outputs):
+    _, outdir, _ = e2e_outputs
+    got = np.genfromtxt(os.path.join(outdir, "trajectory.csv"), delimiter=",", names=True)
+    ref = np.genfromtxt(REFERENCE_TRAJECTORY, delimiter=",", names=True)
+    assert got.dtype.names == ref.dtype.names
+    np.testing.assert_array_equal(got["n"], ref["n"])
+    worst = {}
+    # err_to_truth is the norm of a difference of near fields, which magnifies their round-off
+    for name, rtol in (("J", 1e-9), ("grad_norm", 1e-9), ("proj_dev", 1e-9), ("err_to_truth", 1e-8)):
+        worst[name] = float(np.max(np.abs(got[name] - ref[name]) / np.abs(ref[name])))
+        assert worst[name] <= rtol, (name, worst[name])
+    _report(
+        "criterion 7 (reference trajectory)",
+        ", ".join(f"{name} within {value:.1e}" for name, value in worst.items()) + " relative",
+    )
+
+
 def test_criterion_8_empirical_coercivity():
     t0 = time.perf_counter()
     c_emp = {}

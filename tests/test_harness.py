@@ -9,6 +9,7 @@ from mfeit.cli import main
 from mfeit.config import ConfigError, parse_config_text, serialize_config
 from mfeit.fieldio import read_dataset, read_field, write_dataset, write_field, write_field_csv
 from mfeit.mesh import build_grid, l2_norm_sq
+from mfeit import pde
 from mfeit.pde import blas_thread_controls, map_frequencies
 from mfeit.phantom import add_noise, make_phantom, synthesize_data
 
@@ -449,10 +450,27 @@ class TestCli:
         path.write_text(serialize_config(cfg))
         monkeypatch.setenv("MFEIT_THREADS", "2")
         monkeypatch.setattr(spla, "splu", lambda *a, **k: Tracked(splu(*a, **k)))
+
+        def settle():
+            gc.collect()
+            map_frequencies(lambda k: k, range(2))  # one task per worker, queued after every release
+
+        # simulate's sweep factors on the main thread and frees its factor there
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
+        settle()
+        assert len(made) == 1 and set(made.values()) == {threading.get_ident()}
+        assert freed == made
+        # a one-step sweep hands every frequency but the mid-band one, which
+        # that step solves exactly, to the workers
+        monkeypatch.setattr(pde, "SWEEP_STEPS", 1)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "fallback")]) == 0
+        settle()
+        assert len(made) == 2 + 8
+        assert len(set(made.values())) == 3
+        assert freed == made
         assert main(["reconstruct", "--config", str(path)]) == 0
-        gc.collect()
-        map_frequencies(lambda k: k, range(2))  # one task per worker, queued after every release
-        assert len(made) > 9
+        settle()
+        assert len(made) > 20
         assert freed == made
         assert len(set(made.values())) == 3  # the main thread and both workers made factors
 

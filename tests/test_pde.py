@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from mfeit import pde
 from mfeit.mesh import build_grid, l2_norm_sq
 from mfeit.objective import random_smooth_pair
 from mfeit.pde import (
@@ -8,10 +10,12 @@ from mfeit.pde import (
     adjoint_rhs,
     apply_div_coeff_grad,
     assemble,
+    blas_thread_controls,
     constant_field,
     operator_pattern,
     solve_adjoint,
     solve_dirichlet,
+    solve_frequencies,
     solve_poisson,
 )
 from mfeit.properbc import canonical_phi
@@ -418,3 +422,121 @@ def test_factorization_covers_interior_unknowns_only(grid17):
     op = assemble(grid17, constant_field(grid17, 1.0, 1.0), 1.0)
     n = grid17.n
     assert op.factorization().shape == ((n - 2) ** 2, (n - 2) ** 2)
+
+
+NINE = np.linspace(1.0, 2.0, 9)
+
+
+@pytest.fixture(scope="module")
+def two_bumps33():
+    g = build_grid(33, 0.2)
+    return g, np.stack(make_phantom(TWO_BUMPS, g)), canonical_phi(g)
+
+
+def _count_factorizations(monkeypatch) -> list:
+    made = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: made.append(1) or splu(*a, **k))
+    return made
+
+
+def test_sweep_matches_fresh_solves(two_bumps33, monkeypatch):
+    g, a, phi = two_bumps33
+    made = _count_factorizations(monkeypatch)
+    calls = []
+    orthonormalize = pde._orthonormalize
+    monkeypatch.setattr(pde, "_orthonormalize", lambda w, basis: calls.append(1) or orthonormalize(w, basis))
+    states = solve_frequencies(g, a, NINE, phi)
+    assert len(made) == 1  # every frequency came from the sweep
+    assert len(calls) <= 12  # the start and 11 steps; the sweep stops once all pass
+    for omega, u in zip(NINE, states):
+        fresh = solve_dirichlet(assemble(g, a, omega), phi)
+        assert np.max(np.abs(u - fresh)) <= 1e-11 * np.max(np.abs(fresh))
+
+
+def test_sweep_states_meet_solve_rtol(two_bumps33):
+    g, a, phi = two_bumps33
+    for omega, u in zip(NINE, solve_frequencies(g, a, NINE, phi)):
+        assert np.array_equal(g.trace(u), phi)
+        assert _full_backward_error(g, a, omega, u, phi, np.zeros(u.shape)) <= SOLVE_RTOL
+
+
+def test_sweep_passes_each_state_to_finish(two_bumps33, monkeypatch):
+    g, a, phi = two_bumps33
+    whole = solve_frequencies(g, a, NINE, phi)
+    coarse = solve_frequencies(g, a, NINE, phi, lambda u: u[:, ::2, ::2])
+    assert all(np.array_equal(c, u[:, ::2, ::2]) for c, u in zip(coarse, whole))
+    made = _count_factorizations(monkeypatch)
+    assert solve_frequencies(g, a, NINE, phi, lambda u: None) == [None] * len(NINE)
+    assert len(made) == 1  # a None from finish is a result, not a miss
+
+
+def test_sweep_rejects_single_boundary_column(two_bumps33):
+    g, a, phi = two_bumps33
+    with pytest.raises(ValueError, match="expected"):
+        solve_frequencies(g, a, NINE, phi[0])
+
+
+def test_sweep_constant_medium_needs_one_factorization(monkeypatch):
+    # c_s = c_e, so the 4 starting columns have rank 2, and A_e = A_s makes
+    # the first block an invariant subspace
+    g = build_grid(33, 0.2)
+    phi = canonical_phi(g)
+    made = _count_factorizations(monkeypatch)
+    ranks = []
+    orthonormalize = pde._orthonormalize
+
+    def spy(w, basis):
+        width = len(w)
+        out = orthonormalize(w, basis)
+        ranks.append((width, len(out[1])))
+        return out
+
+    monkeypatch.setattr(pde, "_orthonormalize", spy)
+    states = solve_frequencies(g, constant_field(g, 1.0, 1.0), NINE, phi)
+    assert len(made) == 1
+    assert ranks[0] == (4, 2)
+    assert len(ranks) == 2  # the start and one step
+    for u in states:
+        assert np.max(np.abs(u - np.stack((g.X, g.Y)))) <= 1e-10
+
+
+def test_sweep_single_frequency(two_bumps33, monkeypatch):
+    g, a, phi = two_bumps33
+    made = _count_factorizations(monkeypatch)
+    (u,) = solve_frequencies(g, a, [1.3], phi)
+    assert len(made) == 1
+    fresh = solve_dirichlet(assemble(g, a, 1.3), phi)
+    assert np.max(np.abs(u - fresh)) <= 1e-11 * np.max(np.abs(fresh))
+
+
+def test_sweep_falls_back_to_fresh_factorizations_at_step_cap(two_bumps33, monkeypatch):
+    # no node sits at the mid-band shift, where one step is exact
+    g, a, phi = two_bumps33
+    omegas = np.linspace(1.0, 2.0, 4)
+    monkeypatch.setattr(pde, "SWEEP_STEPS", 1)
+    made = _count_factorizations(monkeypatch)
+    states = solve_frequencies(g, a, omegas, phi, lambda u: u[:, ::2, ::2])
+    assert len(made) == 1 + len(omegas)
+    for omega, u in zip(omegas, states):
+        assert np.array_equal(u, solve_dirichlet(assemble(g, a, omega), phi)[:, ::2, ::2])
+
+
+def test_sweep_holds_blas_at_one_thread(two_bumps33, monkeypatch):
+    g, a, phi = two_bumps33
+    controls = blas_thread_controls()
+    seen = []
+    real = pde.assemble
+    monkeypatch.setattr(pde, "assemble", lambda *args: seen.append([get() for get, _ in controls]) or real(*args))
+    found = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    try:
+        solve_frequencies(g, a, NINE, phi)
+        after = [get() for get, _ in controls]
+    finally:
+        for (_, set_), count in zip(controls, found):
+            set_(count)
+    assert len(seen) >= 1 + len(NINE)
+    assert all(counts == [1] * len(controls) for counts in seen)
+    assert after == [2] * len(controls)
