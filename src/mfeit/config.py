@@ -1,6 +1,7 @@
 """Run configuration: a single INI-style file with one section per concern.
 
-The full schema is documented in the README.  Parsing is strict: unknown
+The keys are listed once, in ``_SCHEMA``, which both the parser and the
+writer walk; the README documents them.  Parsing is strict: unknown
 sections or keys, malformed numbers, and invariant violations all raise
 ``ConfigError`` with the section/key (or parser line) that caused them.
 ``parse -> serialize -> parse`` is the identity on configurations.
@@ -9,9 +10,9 @@ sections or keys, malformed numbers, and invariant violations all raise
 from __future__ import annotations
 
 import configparser
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from operator import attrgetter
 
 from .admissible import AdmissibleParams
 from .landweber import LandweberConfig
@@ -43,7 +44,6 @@ class RunConfig:
     lambda_min: float = DEFAULT_LAMBDA_MIN
     allow_low_coverage: bool = False
     pinv_tol: float = 1e-8
-    per_frequency_eps: bool = False
     noise_level: float = 0.0
     noise_seed: int = 1234
     refinement: int = 2
@@ -90,34 +90,28 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
+#: The file format: section -> key -> ``RunConfig`` attribute, in file order.
+#: A dotted attribute is a field of the nested ``admissible`` or ``phantom``
+#: spec.  Each value is parsed and written by the type of its default;
+#: ``mu`` (default None: ``auto`` or a number) and ``phantom.inclusions`` (a
+#: list: one bump per line) have their own syntax.
 _SCHEMA = {
-    "grid": {"n": int, "c0": float},
+    "grid": {"n": "n", "c0": "c0"},
     "admissible": {
-        "sigma0": float,
-        "eps0": float,
-        "c1": float,
-        "c2": float,
-        "c4": float,
-        "delta": float,
-        "smooth_width": float,
-        "smooth_passes": int,
+        key: f"admissible.{key}"
+        for key in ("sigma0", "eps0", "c1", "c2", "c4", "delta", "smooth_width", "smooth_passes")
     },
-    "frequencies": {"omega_lo": float, "omega_hi": float, "count": int},
-    "boundary": {"phi": str},
-    "phantom": {"sigma0": float, "eps0": float, "inclusions": str},
+    "frequencies": {"omega_lo": "omega_lo", "omega_hi": "omega_hi", "count": "n_freq"},
+    "boundary": {"phi": "phi"},
+    "phantom": {key: f"phantom.{key}" for key in ("sigma0", "eps0", "inclusions")},
     "landweber": {
-        "mu": str,
-        "max_iters": int,
-        "stop_tol": float,
-        "log_every": int,
-        "x0": str,
-        "lambda_min": float,
-        "allow_low_coverage": bool,
+        key: key
+        for key in ("mu", "max_iters", "stop_tol", "log_every", "x0", "lambda_min", "allow_low_coverage")
     },
-    "initguess": {"pinv_tol": float, "per_frequency_eps": bool},
-    "noise": {"level": float, "seed": int},
-    "data": {"refinement": int},
-    "output": {"dir": str},
+    "initguess": {"pinv_tol": "pinv_tol"},
+    "noise": {"level": "noise_level", "seed": "noise_seed"},
+    "data": {"refinement": "refinement"},
+    "output": {"dir": "output_dir"},
 }
 
 
@@ -145,16 +139,21 @@ def _parse_inclusions(raw: str) -> list[Inclusion]:
     return out
 
 
-def _get(cp, section, key, conv, current):
-    if not cp.has_option(section, key):
-        return current
+def _parse_value(cp, section: str, key: str, default):
+    """The value of ``key``, parsed by the type of its ``default``."""
     raw = cp.get(section, key)
+    if isinstance(default, list):
+        return _parse_inclusions(raw)
+    if default is None:
+        if raw == "auto":
+            return None
+        conv, expected = float, "expected 'auto' or a number, got"
+    else:
+        conv, expected = type(default), "cannot parse"
     try:
-        if conv is bool:
-            return cp.getboolean(section, key)
-        value = conv(raw)
+        value = cp.getboolean(section, key) if conv is bool else conv(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+        raise ConfigError(f"[{section}] {key}: {expected} {raw!r}") from exc
     if conv is float and not math.isfinite(value):
         raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
     return value
@@ -175,52 +174,23 @@ def parse_config_text(text: str) -> RunConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
     cfg = RunConfig()
-    cfg.n = _get(cp, "grid", "n", int, cfg.n)
-    cfg.c0 = _get(cp, "grid", "c0", float, cfg.c0)
-
-    adm = {}
-    for key in _SCHEMA["admissible"]:
-        adm[key] = _get(cp, "admissible", key, _SCHEMA["admissible"][key], getattr(AdmissibleParams(), key))
+    nested = {"admissible": {}, "phantom": {}}
+    for section, keys in _SCHEMA.items():
+        for key, attr in keys.items():
+            if not cp.has_option(section, key):
+                continue
+            value = _parse_value(cp, section, key, attrgetter(attr)(cfg))
+            owner, _, name = attr.rpartition(".")
+            if owner:
+                nested[owner][name] = value
+            else:
+                setattr(cfg, name, value)
     try:
-        cfg.admissible = AdmissibleParams(**adm)
+        cfg.admissible = AdmissibleParams(**nested["admissible"])
     except ValueError as exc:
         raise ConfigError(f"[admissible] {exc}") from exc
-
-    cfg.omega_lo = _get(cp, "frequencies", "omega_lo", float, cfg.omega_lo)
-    cfg.omega_hi = _get(cp, "frequencies", "omega_hi", float, cfg.omega_hi)
-    cfg.n_freq = _get(cp, "frequencies", "count", int, cfg.n_freq)
-    cfg.phi = _get(cp, "boundary", "phi", str, cfg.phi)
-
-    ph_sigma0 = _get(cp, "phantom", "sigma0", float, cfg.admissible.sigma0)
-    ph_eps0 = _get(cp, "phantom", "eps0", float, cfg.admissible.eps0)
-    inclusions = []
-    if cp.has_option("phantom", "inclusions"):
-        inclusions = _parse_inclusions(cp.get("phantom", "inclusions"))
-    cfg.phantom = PhantomSpec(sigma0=ph_sigma0, eps0=ph_eps0, inclusions=inclusions)
-
-    mu_raw = _get(cp, "landweber", "mu", str, "auto" if cfg.mu is None else repr(cfg.mu))
-    if mu_raw == "auto":
-        cfg.mu = None
-    else:
-        try:
-            cfg.mu = float(mu_raw)
-        except ValueError as exc:
-            raise ConfigError(f"[landweber] mu: expected 'auto' or a number, got {mu_raw!r}") from exc
-        if not math.isfinite(cfg.mu):
-            raise ConfigError(f"[landweber] mu: must be finite, got {mu_raw!r}")
-    cfg.max_iters = _get(cp, "landweber", "max_iters", int, cfg.max_iters)
-    cfg.stop_tol = _get(cp, "landweber", "stop_tol", float, cfg.stop_tol)
-    cfg.log_every = _get(cp, "landweber", "log_every", int, cfg.log_every)
-    cfg.x0 = _get(cp, "landweber", "x0", str, cfg.x0)
-    cfg.lambda_min = _get(cp, "landweber", "lambda_min", float, cfg.lambda_min)
-    cfg.allow_low_coverage = _get(cp, "landweber", "allow_low_coverage", bool, cfg.allow_low_coverage)
-
-    cfg.pinv_tol = _get(cp, "initguess", "pinv_tol", float, cfg.pinv_tol)
-    cfg.per_frequency_eps = _get(cp, "initguess", "per_frequency_eps", bool, cfg.per_frequency_eps)
-    cfg.noise_level = _get(cp, "noise", "level", float, cfg.noise_level)
-    cfg.noise_seed = _get(cp, "noise", "seed", int, cfg.noise_seed)
-    cfg.refinement = _get(cp, "data", "refinement", int, cfg.refinement)
-    cfg.output_dir = _get(cp, "output", "dir", str, cfg.output_dir)
+    background = {"sigma0": cfg.admissible.sigma0, "eps0": cfg.admissible.eps0}
+    cfg.phantom = PhantomSpec(**{**background, **nested["phantom"]})
 
     cfg.validate()
     return cfg
@@ -232,6 +202,8 @@ def parse_config(path: str) -> RunConfig:
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return "auto"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -240,39 +212,18 @@ def _fmt(value) -> str:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    adm = cfg.admissible
-    buf = io.StringIO()
-    buf.write("[grid]\n")
-    buf.write(f"n = {cfg.n}\nc0 = {_fmt(cfg.c0)}\n\n")
-    buf.write("[admissible]\n")
-    for key in _SCHEMA["admissible"]:
-        buf.write(f"{key} = {_fmt(getattr(adm, key))}\n")
-    buf.write("\n[frequencies]\n")
-    buf.write(f"omega_lo = {_fmt(cfg.omega_lo)}\nomega_hi = {_fmt(cfg.omega_hi)}\ncount = {cfg.n_freq}\n")
-    buf.write("\n[boundary]\nphi = coords\n")
-    buf.write("\n[phantom]\n")
-    buf.write(f"sigma0 = {_fmt(cfg.phantom.sigma0)}\neps0 = {_fmt(cfg.phantom.eps0)}\n")
-    if cfg.phantom.inclusions:
-        buf.write("inclusions =\n")
-        for inc in cfg.phantom.inclusions:
-            buf.write(
-                f"    {_fmt(inc.cx)} {_fmt(inc.cy)} {_fmt(inc.radius)} "
-                f"{_fmt(inc.dsigma)} {_fmt(inc.deps)}\n"
-            )
-    buf.write("\n[landweber]\n")
-    buf.write(f"mu = {'auto' if cfg.mu is None else _fmt(cfg.mu)}\n")
-    buf.write(f"max_iters = {cfg.max_iters}\nstop_tol = {_fmt(cfg.stop_tol)}\n")
-    buf.write(f"log_every = {cfg.log_every}\nx0 = {cfg.x0}\n")
-    buf.write(f"lambda_min = {_fmt(cfg.lambda_min)}\nallow_low_coverage = {_fmt(cfg.allow_low_coverage)}\n")
-    buf.write("\n[initguess]\n")
-    buf.write(f"pinv_tol = {_fmt(cfg.pinv_tol)}\nper_frequency_eps = {_fmt(cfg.per_frequency_eps)}\n")
-    buf.write("\n[noise]\n")
-    buf.write(f"level = {_fmt(cfg.noise_level)}\nseed = {cfg.noise_seed}\n")
-    buf.write("\n[data]\n")
-    buf.write(f"refinement = {cfg.refinement}\n")
-    buf.write("\n[output]\n")
-    buf.write(f"dir = {cfg.output_dir}\n")
-    return buf.getvalue()
+    sections = []
+    for section, keys in _SCHEMA.items():
+        lines = [f"[{section}]"]
+        for key, attr in keys.items():
+            value = attrgetter(attr)(cfg)
+            if not isinstance(value, list):
+                lines.append(f"{key} = {_fmt(value)}")
+            elif value:
+                lines.append(f"{key} =")
+                lines += ["    " + " ".join(_fmt(v) for v in astuple(inc)) for inc in value]
+        sections.append("".join(line + "\n" for line in lines))
+    return "\n".join(sections)
 
 
 def write_config(cfg: RunConfig, path: str) -> None:

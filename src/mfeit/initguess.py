@@ -157,32 +157,8 @@ def extract_sigma_eps(m: np.ndarray, omega_mid: float) -> tuple[np.ndarray, np.n
     return m.real.copy(), m.imag / omega_mid
 
 
-def initial_guess(
-    data: Dataset,
-    params: AdmissibleParams,
-    tol: float = DEFAULT_PINV_TOL,
-    per_frequency_eps: bool = False,
-) -> np.ndarray:
-    """Construct and project the initial admittivity guess, shape (2, n, n), from a dataset.
-
-    With ``per_frequency_eps`` the permittivity is extracted as
-    ``imag(exp(gamma))/omega`` per frequency before averaging instead of
-    dividing the averaged value by the band midpoint; the default keeps the
-    midpoint division.
-    """
-    grid = data.grid
+def initial_guess(data: Dataset, params: AdmissibleParams, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
+    """Construct and project the initial admittivity guess, shape (2, n, n), from a dataset."""
     gf = compute_gammas(data, params.sigma0, params.eps0, tol)
-    if per_frequency_eps:
-        length = data.freqs.omega_hi - data.freqs.omega_lo
-        sigma = np.zeros(grid.shape)
-        eps = np.zeros(grid.shape)
-        for w, omega, gamma in zip(data.freqs.weights, data.freqs.nodes, gf.gammas):
-            e = np.exp(gamma)
-            sigma += float(w) * e.real
-            eps += float(w) * e.imag / float(omega)
-        sigma /= length
-        eps /= length
-    else:
-        m = average_exp_gamma(data, gf)
-        sigma, eps = extract_sigma_eps(m, data.freqs.omega_mid)
-    return project_T(grid, np.stack((sigma, eps)), params)
+    sigma, eps = extract_sigma_eps(average_exp_gamma(data, gf), data.freqs.omega_mid)
+    return project_T(data.grid, np.stack((sigma, eps)), params)

@@ -53,9 +53,7 @@ class LandweberConfig:
     of the squared derivative norm at the start iterate, with a 0.9 safety
     factor).  ``stop_tol`` bounds the relative misfit decrease over a
     10-iteration window below which the run stops; zero disables that rule
-    and the loop runs the full ``max_iters``.  ``discrepancy_floor``
-    optionally enables an early stop when the misfit falls below
-    ``discrepancy_tau`` times that floor.
+    and the loop runs the full ``max_iters``.
     """
 
     admissible: AdmissibleParams = field(default_factory=AdmissibleParams)
@@ -63,8 +61,6 @@ class LandweberConfig:
     max_iters: int = 200
     stop_tol: float = 1e-10
     log_every: int = 10
-    discrepancy_floor: float | None = None
-    discrepancy_tau: float = 1.1
 
     def __post_init__(self):
         if self.mu is not None and self.mu <= 0.0:
@@ -151,19 +147,22 @@ def admittivity_problem(data: Dataset, params: AdmissibleParams) -> GenericProbl
     )
 
 
-def step(p: GenericProblem, x, mu: float, truth=None) -> tuple[Any, IterationRecord]:
+def step(p: GenericProblem, x, mu: float, truth=None, res=None) -> tuple[Any, IterationRecord]:
     """One projected Landweber step from the raw iterate ``x``.
 
-    Returns the raw next iterate (projection happens at the start of the
-    following step) plus the diagnostics record, numbered 0.  Solver
-    failures propagate and leave ``x`` untouched.
+    ``res``, when given, are the residuals at ``p.project(x)``, already
+    evaluated by the caller.  Returns the raw next iterate (projection
+    happens at the start of the following step) plus the diagnostics
+    record, numbered 0.  Solver failures propagate and leave ``x``
+    untouched.
     """
 
     def norm_x(v) -> float:
         return math.sqrt(p.inner_x(v, v))
 
     xp = p.project(x)
-    res = p.residuals(xp)
+    if res is None:
+        res = p.residuals(xp)
     j_val = 0.5 * sum(float(w) * p.norm_sq_y(r) for w, r in zip(p.weights, res))
     direction = p.adjoint_step(res)
     x_next = xp - mu * direction
@@ -186,14 +185,17 @@ def generic_run(
     x0,
     cfg: LandweberConfig,
     truth=None,
+    start: list | None = None,
 ) -> tuple[Any, list[IterationRecord]]:
-    """Iterate ``step`` until ``max_iters``, the discrepancy level or a misfit plateau.
+    """Iterate ``step`` until ``max_iters`` or a misfit plateau.
 
-    The discrepancy stop applies when ``cfg.discrepancy_floor`` is set, the
-    plateau stop over a 10-step window when ``cfg.stop_tol`` is positive.
-    Returns the projection of the final iterate together with the full
-    trajectory.  On solver failure the partial trajectory and the failing
-    iteration are attached to the raised error.
+    The plateau stop over a 10-step window applies when ``cfg.stop_tol`` is
+    positive.  ``start``, when given, holds the residuals at
+    ``p.project(x0)``: the first step uses them, and the list is emptied
+    after that step, so they live no longer than it.  Returns the
+    projection of the final iterate together with the full trajectory.  On
+    solver failure the partial trajectory and the failing iteration are
+    attached to the raised error.
     """
     if cfg.mu is None:
         raise ValueError("generic_run requires an explicit step size")
@@ -201,16 +203,16 @@ def generic_run(
     x = x0
     try:
         for it in range(1, cfg.max_iters + 1):
-            x, rec = step(p, x, cfg.mu, truth)
+            x, rec = step(p, x, cfg.mu, truth, res=start)
+            if start is not None:
+                start.clear()
+                start = None
             rec.n = it
             records.append(rec)
             if cfg.log_every and it % cfg.log_every == 0:
                 logger.info(
                     "iter %4d  J=%.6e  |g|=%.3e  proj_dev=%.3e", it, rec.J, rec.grad_norm, rec.proj_dev
                 )
-            if cfg.discrepancy_floor is not None and rec.J <= cfg.discrepancy_tau * cfg.discrepancy_floor:
-                logger.info("discrepancy stop at iteration %d", it)
-                break
             if _plateau_reached(records, cfg.stop_tol):
                 logger.info("misfit plateau stop at iteration %d", it)
                 break
@@ -219,26 +221,6 @@ def generic_run(
         exc.iteration = it
         raise
     return p.project(x), records
-
-
-def _auto_step_size(p: GenericProblem, x0: np.ndarray, grid: Grid) -> tuple[GenericProblem, float]:
-    """``estimate_step_size`` at the projected start iterate, and ``p`` set to reuse its states.
-
-    The returned problem hands the start iterate's forward states to the
-    first residual evaluation at that iterate (the first step) and then
-    drops them, so their factorizations live no longer than that step.
-    """
-    start = p.project(x0)
-    pending = [p.residuals(start)]
-    mu = estimate_step_size(grid, pending[0])
-
-    def residuals(x):
-        if pending and np.array_equal(x, start):
-            return pending.pop()
-        pending.clear()
-        return p.residuals(x)
-
-    return dataclasses.replace(p, residuals=residuals), mu
 
 
 def run(
@@ -250,13 +232,14 @@ def run(
     """Reconstruct from the field ``x0``: ``generic_run`` on ``admittivity_problem``.
 
     ``x0``, ``truth`` and the returned field have shape (2, n, n).
-    ``cfg.mu = None`` is resolved first by ``estimate_step_size``, whose
-    forward states at the projected start iterate also serve the first
-    step.  Returns the projected final field and the trajectory.
+    ``cfg.mu = None`` is resolved first by ``estimate_step_size`` from the
+    forward states at the projected start iterate, which then serve the
+    first step.  Returns the projected final field and the trajectory.
     """
     problem = admittivity_problem(data, cfg.admissible)
+    start = None
     if cfg.mu is None:
-        problem, mu = _auto_step_size(problem, x0, data.grid)
-        logger.info("auto step size mu=%.4e", mu)
-        cfg = dataclasses.replace(cfg, mu=mu)
-    return generic_run(problem, x0, cfg, truth=truth)
+        start = problem.residuals(problem.project(x0))
+        cfg = dataclasses.replace(cfg, mu=estimate_step_size(data.grid, start))
+        logger.info("auto step size mu=%.4e", cfg.mu)
+    return generic_run(problem, x0, cfg, truth=truth, start=start)

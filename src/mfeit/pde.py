@@ -323,17 +323,17 @@ def assemble(grid: Grid, x: np.ndarray, omega: float) -> EllipticOperator:
     arithmetic means of the adjacent nodal values and the diagonal is the
     negated sum of the four couplings, so interior row sums vanish and the
     interior block is complex-symmetric.  Values are gathered into the
-    cached pattern of the grid; no full-size matrix is built.  Nonpositive
-    sigma or eps anywhere is rejected: the forward model is only elliptic
-    for strictly positive material parameters.
+    cached pattern of the grid; no full-size matrix is built.  A sigma or
+    eps that is nonpositive or non-finite (NaN included) anywhere is
+    rejected: the forward model is only elliptic for finite, strictly
+    positive material parameters.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (2,) + grid.shape:
         raise ValueError(f"admittivity field has shape {x.shape}, expected {(2,) + grid.shape}")
-    if np.any(x[0] <= 0.0):
-        raise ValueError("conductivity must be strictly positive everywhere")
-    if np.any(x[1] <= 0.0):
-        raise ValueError("permittivity must be strictly positive everywhere")
+    for name, values in (("conductivity", x[0]), ("permittivity", x[1])):
+        if not np.all((values > 0.0) & (values < np.inf)):
+            raise ValueError(f"{name} must be finite and strictly positive everywhere")
     table, block, coupling = _gather(grid, x[0] + 1j * omega * x[1])
     norm = max(1.0, float(np.max(np.abs(table).sum(axis=1))))
     return EllipticOperator(grid, omega, block, coupling, norm)

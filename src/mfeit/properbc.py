@@ -27,8 +27,6 @@ class CoverageMap:
 
     m: np.ndarray
     lam: float
-    per_frequency: list[np.ndarray]
-    freqs: FrequencyGrid
 
 
 def canonical_phi(grid: Grid) -> np.ndarray:
@@ -60,4 +58,4 @@ def coverage_lambda(grid: Grid, x: np.ndarray, freqs: FrequencyGrid, phi: np.nda
     for w, dmap in zip(freqs.weights, per_freq):
         m += float(w) * dmap
     lam = float(np.min(m[grid.interior_mask]))
-    return CoverageMap(m=m, lam=lam, per_frequency=per_freq, freqs=freqs)
+    return CoverageMap(m=m, lam=lam)

@@ -1,12 +1,16 @@
 import configparser
+import dataclasses
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 from mfeit import RunConfig, PhantomSpec, Inclusion
+from mfeit.admissible import AdmissibleParams
 from mfeit.cli import main
-from mfeit.config import ConfigError, parse_config_text, serialize_config
+from mfeit.config import _SCHEMA, ConfigError, parse_config, parse_config_text, serialize_config
 from mfeit.fieldio import read_dataset, read_field, write_dataset, write_field, write_field_csv
 from mfeit.mesh import build_grid, l2_norm_sq
 from mfeit import pde
@@ -249,7 +253,79 @@ class TestDatasetValidation:
         assert "validation error" in err and "2 frequency nodes but 1 weights" in err
 
 
+DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
+
+
+def _finite(lo=-1e6, hi=1e6):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _run_configs(draw):
+    """Valid run configurations: every key set, inclusions and ``mu`` included."""
+    c1 = draw(_finite(0.01, 0.5))
+    c2 = draw(_finite(5.0, 20.0))
+    admissible = AdmissibleParams(
+        sigma0=draw(_finite(1.0, 4.0)), eps0=draw(_finite(1.0, 4.0)), c1=c1, c2=c2,
+        c4=draw(_finite(0.5, 50.0)), delta=draw(_finite(1e-6, 1e-2)),
+        smooth_width=draw(_finite(0.5, 4.0)), smooth_passes=draw(st.integers(0, 5)),
+    )
+    inclusion = st.builds(Inclusion, _finite(), _finite(), _finite(1e-3, 0.5), _finite(), _finite())
+    omega_lo = draw(_finite(0.1, 2.0))
+    return RunConfig(
+        n=draw(st.integers(9, 65)),
+        c0=draw(_finite(0.01, 0.49)),
+        admissible=admissible,
+        omega_lo=omega_lo,
+        omega_hi=omega_lo + draw(_finite(0.1, 5.0)),
+        n_freq=draw(st.integers(1, 12)),
+        phantom=PhantomSpec(draw(_finite()), draw(_finite()), draw(st.lists(inclusion, max_size=3))),
+        mu=draw(st.none() | _finite(1e-6, 1e3)),
+        max_iters=draw(st.integers(1, 10_000)),
+        stop_tol=draw(_finite(0.0, 1.0)),
+        log_every=draw(st.integers(0, 100)),
+        x0=draw(st.sampled_from(["initguess", "background"])),
+        lambda_min=draw(_finite()),
+        allow_low_coverage=draw(st.booleans()),
+        pinv_tol=draw(_finite(1e-15, 0.5)),
+        noise_level=draw(_finite(0.0, 1.0)),
+        noise_seed=draw(st.integers(0, 2**31)),
+        refinement=draw(st.sampled_from([1, 2, 3])),
+        output_dir=draw(st.text("ab/_.%1", max_size=10).map(lambda s: f"runs/{s}%")),
+    )
+
+
 class TestConfig:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        database=None,
+        derandomize=True,
+        phases=[Phase.generate],
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(cfg=_run_configs())
+    def test_roundtrip_property(self, cfg):
+        assert parse_config_text(serialize_config(cfg)) == cfg
+
+    def test_default_file_is_its_own_serialization(self):
+        with open(DEFAULT_CFG, encoding="utf-8") as fh:
+            text = fh.read()
+        assert serialize_config(parse_config(DEFAULT_CFG)) == text
+
+    def test_schema_names_every_field_once(self):
+        # a field left out of the key table would never reach the file
+        attrs = [attr for keys in _SCHEMA.values() for attr in keys.values()]
+        assert len(set(attrs)) == len(attrs)
+        assert {a.split(".")[0] for a in attrs} == {f.name for f in dataclasses.fields(RunConfig)}
+        for owner, spec in (("admissible", AdmissibleParams), ("phantom", PhantomSpec)):
+            nested = {a.split(".")[1] for a in attrs if a.startswith(owner + ".")}
+            assert nested == {f.name for f in dataclasses.fields(spec)}
+
+    def test_removed_key_is_unknown(self):
+        with pytest.raises(ConfigError, match="unknown key 'per_frequency_eps' in section \\[initguess\\]"):
+            parse_config_text("[initguess]\nper_frequency_eps = false\n")
+
     def test_roundtrip_identity(self):
         cfg = RunConfig(
             n=33,

@@ -242,12 +242,6 @@ class TestInitialGuess:
         assert np.allclose(s1, s2)
         assert np.allclose(e1, 2.0 * e2)
 
-    def test_per_frequency_variant_also_exact_on_constants(self, constant_data33):
-        data, cfg = constant_data33
-        guess = initial_guess(data, cfg.admissible, per_frequency_eps=True)
-        assert np.max(np.abs(guess[0] - 1.0)) < 1e-10
-        assert np.max(np.abs(guess[1] - 1.0)) < 1e-10
-
     def test_average_matches_quadrature(self, constant_data33):
         data, _ = constant_data33
         gf = compute_gammas(data, 1.0, 1.0)

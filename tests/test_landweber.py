@@ -158,19 +158,6 @@ def test_run_solver_failure_keeps_partial_trajectory(bump_setup, monkeypatch):
     assert excinfo.value.iteration == 3
 
 
-def test_run_discrepancy_principle_stop(bump_setup):
-    data, cfg, _, x0 = bump_setup
-    # floor chosen above the reachable misfit so the stop triggers early
-    floor = 1e-5
-    lcfg = LandweberConfig(
-        admissible=cfg.admissible, mu=1.4, max_iters=100, stop_tol=0.0,
-        discrepancy_floor=floor, discrepancy_tau=1.1,
-    )
-    _, recs = run(x0, data, lcfg)
-    assert len(recs) < 100
-    assert recs[-1].J <= 1.1 * floor
-
-
 class TestGenericEngine:
     def test_linear_oracle_converges(self):
         problem, x_star, mu, _ = linear_oracle()

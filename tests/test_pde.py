@@ -98,6 +98,20 @@ def test_assemble_rejects_nonpositive_coefficients(grid17):
         assemble(grid17, bad2, 1.0)
 
 
+@pytest.mark.parametrize("component, name", [(0, "conductivity"), (1, "permittivity")])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficient_is_a_validation_error(grid17, component, name, value):
+    # a NaN passes `x <= 0`; it must stop at assembly, not come back from
+    # SuperLU as a SolverError
+    bad = constant_field(grid17, 1.0, 1.0)
+    bad[component, 4, 6] = value
+    phi = canonical_phi(grid17)
+    with pytest.raises(ValueError, match=name):
+        solve_dirichlet(assemble(grid17, bad, 1.0), phi)
+    with pytest.raises(ValueError, match=name):
+        solve_frequencies(grid17, bad, [1.0, 1.5, 2.0], phi)
+
+
 @pytest.mark.parametrize("shape", [(17, 17), (2, 16, 16), (3, 17, 17), (2, 17, 17, 1)])
 def test_assemble_rejects_field_of_wrong_shape(grid17, shape):
     with pytest.raises(ValueError, match="shape"):

@@ -49,7 +49,6 @@ def test_coverage_single_frequency_weight(grid):
     freqs = FrequencyGrid.uniform(1.0, 2.5, 1)
     cov = coverage_lambda(grid, constant_field(grid, 1.0, 1.0), freqs, canonical_phi(grid))
     assert cov.lam == pytest.approx(1.5, abs=1e-9)
-    assert len(cov.per_frequency) == 1
 
 
 def test_coverage_bump_phantom_regression():
