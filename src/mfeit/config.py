@@ -14,6 +14,8 @@ import math
 from dataclasses import astuple, dataclass, field
 from operator import attrgetter
 
+import numpy as np
+
 from .admissible import AdmissibleParams
 from .landweber import LandweberConfig
 from .mesh import Grid, build_grid
@@ -206,8 +208,8 @@ def _fmt(value) -> str:
         return "auto"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

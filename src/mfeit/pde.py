@@ -21,9 +21,9 @@ enter once, through ``A_IB``.  Every column must meet the ``SOLVE_RTOL``
 backward-error gate of the full system, whose norms include the boundary
 values.  The gate is checked on the first triangular solve, and a
 refinement sweep (at most two) runs only when some column misses it, so a
-call normally costs one triangular solve: 9 for ``coverage``, 1 for
-``init-guess`` and 154 + 18 N for an N-iteration ``reconstruct`` with the
-automatic step size and 9 frequencies.  Around
+call normally costs one triangular solve: 1 for ``init-guess`` and 145 +
+18 N for an N-iteration ``reconstruct`` with the automatic step size and
+9 frequencies, besides the shifted sweep of its coverage gate.  Around
 that solve a call does one ``A_II`` product and little else: the interior
 unknowns are the slice ``[1:-1, 1:-1]`` of each field, so they move in and
 out without an index gather; the columns are held as the rows of a
@@ -32,15 +32,17 @@ each sparse product takes one contiguous column; and the gate's column
 norms are sums of squares over a float view.
 
 ``solve_frequencies`` solves one field at many frequencies, as data
-synthesis does, with a single factorization: the operators are the pencil
-``A_s + i w A_e``, so one block Krylov space of ``A(tau)^-1 A_e`` at the
-mid-band shift tau serves every frequency.  Each state it returns passes
-a backward-error gate 1e4 times tighter than SOLVE_RTOL on the system of
-``assemble`` at its own frequency, or else comes from ``solve_dirichlet``.
-For the 9 frequencies of ``simulate`` on the 129 x 129 grid that is 1
+synthesis and the coverage constant do, with a single factorization: the
+operators are the pencil ``A_s + i w A_e``, so one block Krylov space of
+``A(tau)^-1 A_e`` at the mid-band shift tau serves every frequency.  Each
+state it returns passes a backward-error gate 1e4 times tighter than
+SOLVE_RTOL on the system of ``assemble`` at its own frequency, or else
+comes from ``solve_dirichlet``.  For the 9 frequencies of ``simulate`` on the 129 x 129 grid that is 1
 factorization, one 4-column and 10 two-column triangular solves, against
 9 factorizations and 9 two-column solves: 94 ms against 310 ms (2-core
 VM, one thread), and 0.45 s against 1.77 s on the 257 x 257 grid.
+``coverage`` on the 65 x 65 grid makes 1 factorization and 11 triangular
+solves, and an N-iteration ``reconstruct`` 9 N + 2 factorizations.
 
 A pair of quantities is a plain array with the component on the leading
 axis.  The admittivity field is one of shape (2, n, n), sigma then eps,
@@ -511,7 +513,8 @@ def solve_frequencies(grid: Grid, x: np.ndarray, omegas, bc: np.ndarray, finish=
     frequency.  Item k of the result is ``finish(u_k)`` (``u_k`` itself by
     default), where ``u_k`` of shape (m, n, n) solves the system of
     ``assemble(grid, x, omegas[k])``: ``finish`` lets a caller keep less
-    than the whole state while the others are still being solved.
+    than the whole state while the others are still being solved, as
+    ``properbc.coverage_lambda`` keeps only each state's determinant map.
 
     The operators form the pencil ``A(w) = A_s + i w A_e`` with real
     ``A_s``, ``A_e``, and so do the right-hand sides ``c(w) = c_s + i w

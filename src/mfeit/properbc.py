@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Grid, grad
-from .pde import assemble, map_frequencies, solve_dirichlet
+from .pde import solve_frequencies
 from .objective import FrequencyGrid
 
 #: Coverage constants below this make the problem effectively non-invertible.
@@ -45,15 +45,15 @@ def det_gradient_map(grid: Grid, u: np.ndarray) -> np.ndarray:
 def coverage_lambda(grid: Grid, x: np.ndarray, freqs: FrequencyGrid, phi: np.ndarray) -> CoverageMap:
     """Quadrature of the per-frequency determinant maps of the field ``x`` and its interior minimum.
 
-    Solver failures at any frequency propagate; no node of the quadrature is
-    silently skipped.
+    The states at every frequency come from one shifted Krylov sweep of
+    ``solve_frequencies``, on a single factorization: each state passes
+    SWEEP_RTOL on the system of ``assemble`` at its own frequency, and a
+    frequency that misses it falls back to ``solve_dirichlet`` through the
+    frequency pool.  Only each state's (n, n) determinant map is kept.
+    Solver failures at any frequency propagate; no node of the quadrature
+    is silently skipped.
     """
-    def one(k: int) -> np.ndarray:
-        omega = float(freqs.nodes[k])
-        u = solve_dirichlet(assemble(grid, x, omega), phi)
-        return det_gradient_map(grid, u)
-
-    per_freq = map_frequencies(one, range(freqs.nodes.size))
+    per_freq = solve_frequencies(grid, x, freqs.nodes, phi, finish=lambda u: det_gradient_map(grid, u))
     m = np.zeros(grid.shape)
     for w, dmap in zip(freqs.weights, per_freq):
         m += float(w) * dmap

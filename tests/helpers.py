@@ -26,6 +26,7 @@ from mfeit.pde import (
     solve_dirichlet,
     solve_poisson,
 )
+from mfeit.properbc import det_gradient_map
 
 
 TWO_BUMPS = PhantomSpec(
@@ -195,6 +196,18 @@ def reference_solve_dirichlet(op: EllipticOperator, bc: np.ndarray, src: np.ndar
             out[..., grid.boundary_index] = bc
             return out.reshape(lead + grid.shape)
     raise SolverError(f"linear solve residual {residual:.3e} exceeds tolerance {SOLVE_RTOL:.1e}", residual=residual)
+
+
+def reference_coverage(grid: Grid, x: np.ndarray, freqs: FrequencyGrid, phi: np.ndarray) -> tuple[np.ndarray, float]:
+    """``coverage_lambda`` as a per-frequency loop: one fresh factorization per frequency.
+
+    Returns the quadrature map ``m`` and its interior minimum, summed with the
+    weights in frequency order as ``coverage_lambda`` sums them.
+    """
+    m = np.zeros(grid.shape)
+    for w, omega in zip(freqs.weights, freqs.nodes):
+        m += float(w) * det_gradient_map(grid, solve_dirichlet(assemble(grid, x, float(omega)), phi))
+    return m, float(np.min(m[grid.interior_mask]))
 
 
 def h1_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex:

@@ -345,6 +345,15 @@ class TestConfig:
     def test_defaults_roundtrip(self):
         assert parse_config_text(serialize_config(RunConfig())) == RunConfig()
 
+    def test_numpy_float_roundtrip(self):
+        # numpy scalars are written as plain decimals, not as "np.float64(...)"
+        for cast in (np.float64, np.float32):
+            cfg = RunConfig(c0=cast(0.25), mu=cast(0.1), noise_level=cast(0.015),
+                            phantom=PhantomSpec(inclusions=[Inclusion(*map(cast, (0.5, 0.5, 0.15, 0.5, 0.3)))]))
+            text = serialize_config(cfg)
+            assert "np." not in text
+            assert parse_config_text(text) == cfg
+
     def test_auto_mu_roundtrip(self):
         cfg = RunConfig(mu=None)
         assert parse_config_text(serialize_config(cfg)).mu is None
@@ -477,7 +486,7 @@ class TestCli:
         assert sigma.shape == (17, 17)
 
     def test_reconstruct_reuses_start_factorizations(self, tmp_path, monkeypatch):
-        # init guess 1 + coverage 9 + step-size estimate 9 + 9 per step
+        # init guess 1 + coverage 1 + step-size estimate 9 + 9 per step
         # after the first, which reuses the estimate's forward states; every
         # solve passes the gate on its first triangular solve
         import scipy.sparse.linalg as spla
@@ -494,8 +503,23 @@ class TestCli:
         data_dir = str(tmp_path / "out" / "dataset")
         assert main(["reconstruct", "--config", str(path), "--data", data_dir]) == 0
         assert cfg.mu is None and cfg.n_freq == 9
-        assert len(made) == 9 * (iters + 1) + 1
-        assert sum(lu.solves for lu in made) == 154 + 18 * iters
+        assert len(made) == 9 * iters + 2
+        assert sum(lu.solves for lu in made) == 187
+
+    def test_coverage_makes_one_factorization(self, tmp_path, monkeypatch):
+        # the shifted sweep: one 4-column solve, then one per Krylov step
+        import scipy.sparse.linalg as spla
+
+        cfg = RunConfig(n=17, c0=0.2, phantom=ONE_BUMP, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "run.cfg"
+        path.write_text(serialize_config(cfg))
+        made = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: made.append(CountingLU(splu(*a, **k))) or made[-1])
+        assert main(["coverage", "--config", str(path)]) == 0
+        assert cfg.n_freq == 9
+        assert len(made) == 1
+        assert made[0].solves == 7
 
     def test_factorizations_destroyed_on_the_thread_that_made_them(self, tmp_path, monkeypatch):
         # scipy returns a SuperLU factor's memory only when the factor is
@@ -564,6 +588,7 @@ class TestCli:
             path.write_text(serialize_config(cfg))
             assert main(["simulate", "--config", str(path), "--out", str(out / "sim")]) == 0
             assert main(["reconstruct", "--config", str(path), "--out", str(out / "rec")]) == 0
+            assert main(["coverage", "--config", str(path), "--out", str(out / "cov")]) == 0
             trees.append({
                 p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
             })

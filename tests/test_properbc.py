@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from mfeit import pde
 from mfeit.mesh import build_grid
 from mfeit.objective import FrequencyGrid
 from mfeit.pde import assemble, constant_field, solve_dirichlet
 from mfeit.phantom import make_phantom
 from mfeit.properbc import canonical_phi, coverage_lambda, det_gradient_map
 
-from helpers import TWO_BUMPS
+from helpers import TWO_BUMPS, reference_coverage
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +88,32 @@ def test_lambda_stable_under_tiny_coefficient_perturbation():
     wiggled = np.stack((phantom.sigma + 1e-8, phantom.eps - 1e-8))
     lam_w = coverage_lambda(g, wiggled, freqs, phi).lam
     assert abs(lam - lam_w) < 1e-5
+
+
+def _assert_matches_per_frequency_loop(g, phantom, freqs, phi):
+    cov = coverage_lambda(g, phantom, freqs, phi)
+    m_ref, lam_ref = reference_coverage(g, phantom, freqs, phi)
+    assert np.max(np.abs(cov.m - m_ref)) <= 1e-10 * np.max(np.abs(m_ref))
+    assert abs(cov.lam - lam_ref) <= 1e-10 * abs(lam_ref)
+
+
+def test_coverage_matches_per_frequency_loop():
+    g = build_grid(33, 0.2)
+    phantom = np.stack(make_phantom(TWO_BUMPS, g))
+    _assert_matches_per_frequency_loop(g, phantom, FrequencyGrid.uniform(1.0, 2.0, 9), canonical_phi(g))
+
+
+def test_coverage_fallback_matches_per_frequency_loop(monkeypatch):
+    # After one Krylov step only the mid-band frequency, the sweep's shift,
+    # passes; the other 8 fall back to solve_dirichlet on the pool.
+    import scipy.sparse.linalg as spla
+
+    monkeypatch.setattr(pde, "SWEEP_STEPS", 1)
+    monkeypatch.setenv("MFEIT_THREADS", "2")
+    made = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: made.append(1) or splu(*a, **k))
+    g = build_grid(33, 0.2)
+    phantom = np.stack(make_phantom(TWO_BUMPS, g))
+    _assert_matches_per_frequency_loop(g, phantom, FrequencyGrid.uniform(1.0, 2.0, 9), canonical_phi(g))
+    assert len(made) == 1 + 8 + 9  # sweep, fallbacks, then the oracle's own loop
