@@ -71,13 +71,15 @@ class MembershipReport:
     violations: list[Violation] = field(default_factory=list)
 
 
-def is_member(grid: Grid, x: np.ndarray, p: AdmissibleParams, tol: float = 1e-12) -> MembershipReport:
+def is_member(grid: Grid, x: np.ndarray, p: AdmissibleParams) -> MembershipReport:
     """Check pointwise bounds, background support, and the H1 cap of ``x``, shape (2, n, n).
 
     All failures are collected into the report rather than raised; each
     failed constraint contributes one entry carrying its worst node.  A NaN
-    node violates the bounds by an infinite amount.
+    node violates the bounds by an infinite amount.  The support and the cap
+    are checked with a slack of 1e-12 (absolute and relative).
     """
+    tol = 1e-12
     violations: list[Violation] = []
 
     def worst(mask_excess: np.ndarray, name: str):

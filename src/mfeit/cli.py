@@ -83,7 +83,7 @@ def cmd_init_guess(cfg: RunConfig, args) -> int:
 
 
 def _resolve_truth(cfg: RunConfig, data: Dataset) -> np.ndarray | None:
-    if str(data.metadata.get("phantom", "")) == phantom_id(cfg.phantom):
+    if str(data.metadata.get("phantom", "")) == phantom_id(cfg.phantom, cfg.admissible):
         return np.stack(make_phantom(cfg.phantom, data.grid, cfg.admissible))
     return None
 
@@ -98,10 +98,10 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
 
     cov = coverage_lambda(grid, x0, data.freqs, data.boundary_data())
     print(f"coverage lambda at start iterate: {cov.lam:.6e}")
-    if cov.lam < cfg.lambda_min and not cfg.allow_low_coverage:
+    if cov.lam < cfg.lambda_min:
         print(
             f"error: coverage lambda {cov.lam:.3e} below threshold {cfg.lambda_min:.3e}; "
-            "set allow_low_coverage to override",
+            "set lambda_min = 0 to override",
             file=sys.stderr,
         )
         return 2

@@ -14,9 +14,9 @@ import math
 from dataclasses import astuple, dataclass, field
 from operator import attrgetter
 
-import numpy as np
-
 from .admissible import AdmissibleParams
+from .fieldio import format_number
+from .initguess import DEFAULT_PINV_TOL
 from .landweber import LandweberConfig
 from .mesh import Grid, build_grid
 from .objective import FrequencyGrid
@@ -36,16 +36,13 @@ class RunConfig:
     omega_lo: float = 1.0
     omega_hi: float = 2.0
     n_freq: int = 9
-    phi: str = "coords"
     phantom: PhantomSpec = field(default_factory=PhantomSpec)
     mu: float | None = None
-    max_iters: int = 200
-    stop_tol: float = 1e-10
-    log_every: int = 10
+    max_iters: int = LandweberConfig.max_iters
+    stop_tol: float = LandweberConfig.stop_tol
     x0: str = "initguess"
     lambda_min: float = DEFAULT_LAMBDA_MIN
-    allow_low_coverage: bool = False
-    pinv_tol: float = 1e-8
+    pinv_tol: float = DEFAULT_PINV_TOL
     noise_level: float = 0.0
     noise_seed: int = 1234
     refinement: int = 2
@@ -63,14 +60,11 @@ class RunConfig:
             mu=self.mu,
             max_iters=self.max_iters,
             stop_tol=self.stop_tol,
-            log_every=self.log_every,
         )
 
     def validate(self) -> None:
         if self.refinement not in (1, 2, 3):
             raise ConfigError(f"[data] refinement must be 1, 2, or 3, got {self.refinement}")
-        if self.phi != "coords":
-            raise ConfigError(f"[boundary] phi: unknown choice {self.phi!r}")
         if self.x0 not in ("initguess", "background"):
             raise ConfigError(f"[landweber] x0 must be 'initguess' or 'background', got {self.x0!r}")
         if self.noise_level < 0.0:
@@ -80,8 +74,6 @@ class RunConfig:
         if not 0.0 < self.pinv_tol < 1.0:
             # a cutoff of 1 or more zeroes every pseudo-inverse: the guess would be the background
             raise ConfigError(f"[initguess] pinv_tol must lie in (0, 1), got {self.pinv_tol!r}")
-        if self.log_every < 0:
-            raise ConfigError(f"[landweber] log_every must be nonnegative, got {self.log_every}")
         if self.n_freq < 1:
             raise ConfigError("[frequencies] count must be at least 1")
         try:
@@ -104,12 +96,8 @@ _SCHEMA = {
         for key in ("sigma0", "eps0", "c1", "c2", "c4", "delta", "smooth_width", "smooth_passes")
     },
     "frequencies": {"omega_lo": "omega_lo", "omega_hi": "omega_hi", "count": "n_freq"},
-    "boundary": {"phi": "phi"},
-    "phantom": {key: f"phantom.{key}" for key in ("sigma0", "eps0", "inclusions")},
-    "landweber": {
-        key: key
-        for key in ("mu", "max_iters", "stop_tol", "log_every", "x0", "lambda_min", "allow_low_coverage")
-    },
+    "phantom": {"inclusions": "phantom.inclusions"},
+    "landweber": {key: key for key in ("mu", "max_iters", "stop_tol", "x0", "lambda_min")},
     "initguess": {"pinv_tol": "pinv_tol"},
     "noise": {"level": "noise_level", "seed": "noise_seed"},
     "data": {"refinement": "refinement"},
@@ -153,7 +141,7 @@ def _parse_value(cp, section: str, key: str, default):
     else:
         conv, expected = type(default), "cannot parse"
     try:
-        value = cp.getboolean(section, key) if conv is bool else conv(raw)
+        value = conv(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {expected} {raw!r}") from exc
     if conv is float and not math.isfinite(value):
@@ -191,8 +179,7 @@ def parse_config_text(text: str) -> RunConfig:
         cfg.admissible = AdmissibleParams(**nested["admissible"])
     except ValueError as exc:
         raise ConfigError(f"[admissible] {exc}") from exc
-    background = {"sigma0": cfg.admissible.sigma0, "eps0": cfg.admissible.eps0}
-    cfg.phantom = PhantomSpec(**{**background, **nested["phantom"]})
+    cfg.phantom = PhantomSpec(**nested["phantom"])
 
     cfg.validate()
     return cfg
@@ -203,16 +190,6 @@ def parse_config(path: str) -> RunConfig:
         return parse_config_text(fh.read())
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "auto"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def serialize_config(cfg: RunConfig) -> str:
     sections = []
     for section, keys in _SCHEMA.items():
@@ -220,10 +197,10 @@ def serialize_config(cfg: RunConfig) -> str:
         for key, attr in keys.items():
             value = attrgetter(attr)(cfg)
             if not isinstance(value, list):
-                lines.append(f"{key} = {_fmt(value)}")
+                lines.append(f"{key} = {'auto' if value is None else format_number(value)}")
             elif value:
                 lines.append(f"{key} =")
-                lines += ["    " + " ".join(_fmt(v) for v in astuple(inc)) for inc in value]
+                lines += ["    " + " ".join(map(format_number, astuple(inc))) for inc in value]
         sections.append("".join(line + "\n" for line in lines))
     return "\n".join(sections)
 

@@ -3,7 +3,7 @@
 A field file ``<name>.f64`` holds flat little-endian float64 values in
 row-major node order: one plane for a real field, the real plane followed
 by the imaginary plane for a complex field.  A text sidecar ``<name>.meta``
-records the grid and provenance as sorted ``key = value`` lines.  Datasets
+records the grid and the layout as sorted ``key = value`` lines.  Datasets
 are directories with one complex field file per frequency and component
 plus a ``manifest.cfg``.  All writes are deterministic: identical inputs
 produce byte-identical files.
@@ -21,13 +21,14 @@ from .mesh import Grid, build_grid
 from .objective import Dataset, FrequencyGrid
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+def format_number(value) -> str:
+    """Text of a value in a written file: the shortest exact decimal of a float or NumPy float."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
-def write_field(base: str, values: np.ndarray, grid: Grid, meta: dict | None = None) -> None:
+def write_field(base: str, values: np.ndarray, grid: Grid) -> None:
     """Write ``<base>.f64`` and its ``<base>.meta`` sidecar."""
     values = np.asarray(values)
     complex_field = np.iscomplexobj(values)
@@ -42,11 +43,9 @@ def write_field(base: str, values: np.ndarray, grid: Grid, meta: dict | None = N
         "order": "row-major",
         "dtype": "float64-le",
     }
-    if meta:
-        lines.update(meta)
     with open(base + ".meta", "w", encoding="utf-8") as fh:
         for key in sorted(lines):
-            fh.write(f"{key} = {_fmt(lines[key])}\n")
+            fh.write(f"{key} = {format_number(lines[key])}\n")
 
 
 def read_field(base: str) -> tuple[np.ndarray, dict]:
@@ -97,14 +96,14 @@ def write_dataset(directory: str, data: Dataset) -> None:
     os.makedirs(directory, exist_ok=True)
     grid = data.grid
     cp = configparser.ConfigParser()
-    cp["grid"] = {"n": str(grid.n), "c0": _fmt(grid.c0)}
+    cp["grid"] = {"n": str(grid.n), "c0": format_number(grid.c0)}
     cp["frequencies"] = {
-        "omega_lo": _fmt(data.freqs.omega_lo),
-        "omega_hi": _fmt(data.freqs.omega_hi),
-        "nodes": " ".join(_fmt(float(v)) for v in data.freqs.nodes),
-        "weights": " ".join(_fmt(float(v)) for v in data.freqs.weights),
+        "omega_lo": format_number(data.freqs.omega_lo),
+        "omega_hi": format_number(data.freqs.omega_hi),
+        "nodes": " ".join(map(format_number, data.freqs.nodes)),
+        "weights": " ".join(map(format_number, data.freqs.weights)),
     }
-    cp["meta"] = {key: _fmt(data.metadata[key]) for key in sorted(data.metadata)}
+    cp["meta"] = {key: format_number(data.metadata[key]) for key in sorted(data.metadata)}
     with open(os.path.join(directory, "manifest.cfg"), "w", encoding="utf-8") as fh:
         cp.write(fh)
     for k, pair in enumerate(data.potentials):
@@ -158,6 +157,4 @@ def write_trajectory_csv(path: str, records: list[IterationRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("n,J,grad_norm,err_to_truth,proj_dev\n")
         for r in records:
-            fh.write(
-                f"{r.n},{_fmt(r.J)},{_fmt(r.grad_norm)},{_fmt(r.err_to_truth)},{_fmt(r.proj_dev)}\n"
-            )
+            fh.write(",".join(map(format_number, (r.n, r.J, r.grad_norm, r.err_to_truth, r.proj_dev))) + "\n")

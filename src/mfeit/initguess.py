@@ -122,7 +122,6 @@ def _warn_branch(violations: int, omega: float) -> None:
 class GammaField:
     """Per-frequency log-admittivity solutions with branch diagnostics."""
 
-    omegas: np.ndarray
     gammas: list[np.ndarray]
     fold_violations: list[int]
 
@@ -140,7 +139,7 @@ def compute_gammas(data: Dataset, sigma0: float, eps0: float, tol: float = DEFAU
         _warn_branch(v, omega)
         gammas.append(gamma)
         violations.append(v)
-    return GammaField(omegas=data.freqs.nodes.copy(), gammas=gammas, fold_violations=violations)
+    return GammaField(gammas=gammas, fold_violations=violations)
 
 
 def average_exp_gamma(data: Dataset, gf: GammaField) -> np.ndarray:

@@ -44,6 +44,9 @@ logger = logging.getLogger(__name__)
 #: Length of the relative-decrease plateau window of the stopping rule.
 PLATEAU_WINDOW = 10
 
+#: Iterations between two progress lines of the verbose log.
+LOG_EVERY = 10
+
 
 @dataclass
 class LandweberConfig:
@@ -60,7 +63,6 @@ class LandweberConfig:
     mu: float | None = None
     max_iters: int = 200
     stop_tol: float = 1e-10
-    log_every: int = 10
 
     def __post_init__(self):
         if self.mu is not None and self.mu <= 0.0:
@@ -209,7 +211,7 @@ def generic_run(
                 start = None
             rec.n = it
             records.append(rec)
-            if cfg.log_every and it % cfg.log_every == 0:
+            if it % LOG_EVERY == 0:
                 logger.info(
                     "iter %4d  J=%.6e  |g|=%.3e  proj_dev=%.3e", it, rec.J, rec.grad_norm, rec.proj_dev
                 )

@@ -85,8 +85,9 @@ class Grid:
 def build_grid(n: int, c0: float) -> Grid:
     """Construct the uniform grid.
 
-    Rejects ``n < 9`` (difference stencils degenerate) and ``c0`` outside
-    ``(0, 0.5)`` (empty or meaningless interior region).
+    Rejects ``n < 9`` (difference stencils degenerate), ``c0`` outside
+    ``(0, 0.5)`` (empty or meaningless interior region), and an ``(n, c0)``
+    whose interior region holds no node.
     """
     if n < 9:
         raise ValueError(f"grid needs n >= 9 nodes per side, got n={n}")
@@ -97,6 +98,8 @@ def build_grid(n: int, c0: float) -> Grid:
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     dist = np.minimum.reduce([X, 1.0 - X, Y, 1.0 - Y])
     interior = dist > c0
+    if not interior.any():
+        raise ValueError(f"no node of the n={n} grid lies in the interior region of margin c0={c0}")
     boundary = np.zeros((n, n), dtype=bool)
     boundary[0, :] = boundary[-1, :] = True
     boundary[:, 0] = boundary[:, -1] = True

@@ -224,22 +224,20 @@ def bump_profile(rho_sq: np.ndarray) -> np.ndarray:
     return np.where(rho_sq < 1.0, (1.0 - rho_sq) ** 2, 0.0)
 
 
-def random_smooth_pair(
-    grid: Grid, rng: np.random.Generator, n_bumps: int = 3, margin: float = 0.02
-) -> np.ndarray:
+def random_smooth_pair(grid: Grid, rng: np.random.Generator) -> np.ndarray:
     """Random smooth (sigma, eps) direction, shape (2, n, n).
 
-    Supported strictly inside the interior region and built from a few
-    compactly supported radial bumps with randomized centers, radii, and
-    signs.  The geometry depends only on the random draw, not on the grid,
-    so the same seed produces the same continuum direction across
-    resolutions.
+    Supported strictly inside the interior region (each rim at least 0.02
+    inside it) and built from three compactly supported radial bumps per
+    component with randomized centers, radii, and signs.  The geometry
+    depends only on the random draw, not on the grid, so the same seed
+    produces the same continuum direction across resolutions.
     """
     fields = np.zeros((2,) + grid.shape)
     for f in fields:
-        for _ in range(n_bumps):
+        for _ in range(3):
             radius = rng.uniform(0.08, 0.18)
-            lo = grid.c0 + radius + margin
+            lo = grid.c0 + radius + 0.02
             cx = rng.uniform(lo, 1.0 - lo)
             cy = rng.uniform(lo, 1.0 - lo)
             amp = rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])

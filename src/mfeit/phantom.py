@@ -10,12 +10,13 @@ coarse node, so no interpolation enters the data path).  Refinement factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .admissible import AdmissibleParams, is_member
+from .fieldio import format_number
 from .mesh import Grid, refine_grid, restrict_injection
 from .objective import Dataset, bump_profile
 from .pde import solve_frequencies
@@ -55,24 +56,21 @@ class PhantomField(NamedTuple):
 
 @dataclass
 class PhantomSpec:
-    sigma0: float = 1.0
-    eps0: float = 1.0
+    """Bumps on the admissible set's background (sigma0, eps0)."""
+
     inclusions: list[Inclusion] = field(default_factory=list)
 
 
-def make_phantom(
-    spec: PhantomSpec, grid: Grid, params: AdmissibleParams | None = None
-) -> PhantomField:
+def make_phantom(spec: PhantomSpec, grid: Grid, params: AdmissibleParams) -> PhantomField:
     """Evaluate the phantom on the grid nodes and validate admissibility.
 
-    Inclusions with a nonpositive or non-finite radius, whose support
-    reaches outside the interior region, or whose amplitudes push the
-    fields past the pointwise bounds, are rejected with a ValueError.
+    The inclusions are added to the background of ``params``.  Inclusions
+    with a nonpositive or non-finite radius, whose support reaches outside
+    the interior region, or whose amplitudes push the fields past the
+    pointwise bounds, are rejected with a ValueError.
     """
-    if params is None:
-        params = AdmissibleParams(sigma0=spec.sigma0, eps0=spec.eps0)
-    sigma = np.full(grid.shape, float(spec.sigma0))
-    eps = np.full(grid.shape, float(spec.eps0))
+    sigma = np.full(grid.shape, float(params.sigma0))
+    eps = np.full(grid.shape, float(params.eps0))
     for inc in spec.inclusions:
         if not (math.isfinite(inc.radius) and inc.radius > 0.0):
             raise ValueError(f"inclusion at ({inc.cx}, {inc.cy}) has radius {inc.radius}, not a positive number")
@@ -111,7 +109,7 @@ def synthesize_data(spec: PhantomSpec, cfg: RunConfig) -> Dataset:
     potentials = solve_frequencies(fine, x_fine, freqs.nodes, phi_fine, lambda u: restrict_injection(u, factor))
 
     metadata = {
-        "phantom": phantom_id(spec),
+        "phantom": phantom_id(spec, cfg.admissible),
         "noise_level": 0.0,
         "noise_seed": cfg.noise_seed,
         "generation_n": fine.n,
@@ -121,12 +119,16 @@ def synthesize_data(spec: PhantomSpec, cfg: RunConfig) -> Dataset:
     return Dataset(grid=coarse, freqs=freqs, potentials=potentials, metadata=metadata)
 
 
-def phantom_id(spec: PhantomSpec) -> str:
-    parts = [f"bg({spec.sigma0:g},{spec.eps0:g})"]
-    parts += [
-        f"bump({i.cx:g},{i.cy:g},{i.radius:g},{i.dsigma:g},{i.deps:g})"
-        for i in spec.inclusions
-    ]
+def _exact(value: float) -> str:
+    """``format_number`` without a trailing ``.0``: 1, 0.45, -0.3."""
+    text = format_number(value)
+    return text[:-2] if text.endswith(".0") else text
+
+
+def phantom_id(spec: PhantomSpec, params: AdmissibleParams) -> str:
+    """Name of the phantom on the background of ``params``; distinct phantoms get distinct names."""
+    parts = [f"bg({_exact(params.sigma0)},{_exact(params.eps0)})"]
+    parts += [f"bump({','.join(map(_exact, astuple(i)))})" for i in spec.inclusions]
     return "+".join(parts)
 
 

@@ -248,9 +248,7 @@ def find_mu_safe(
     mu = mu_start
     safe = None
     for _ in range(max_doublings):
-        trial = LandweberConfig(
-            admissible=cfg.admissible, mu=mu, max_iters=n_check, stop_tol=0.0, log_every=0
-        )
+        trial = LandweberConfig(admissible=cfg.admissible, mu=mu, max_iters=n_check, stop_tol=0.0)
         _, recs = run(x0, data, trial)
         js = [r.J for r in recs]
         if all(b <= a * (1.0 + 1e-12) for a, b in zip(js, js[1:])):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mfeit import RunConfig, PhantomSpec
-from mfeit.admissible import project_T
+from mfeit.admissible import AdmissibleParams, project_T
 from mfeit.cli import main
 from mfeit.config import write_config
 from mfeit.initguess import initial_guess
@@ -206,7 +206,7 @@ def e2e_outputs(tmp_path_factory):
 def test_criterion_7_end_to_end_convergence(e2e_outputs):
     _, outdir, elapsed = e2e_outputs
     grid = build_grid(65, 0.2)
-    truth = np.stack(make_phantom(TWO_BUMPS, grid))
+    truth = np.stack(make_phantom(TWO_BUMPS, grid, AdmissibleParams()))
     sigma_init, _ = read_field(os.path.join(outdir, "sigma_init"))
     eps_init, _ = read_field(os.path.join(outdir, "eps_init"))
     sigma_final, _ = read_field(os.path.join(outdir, "sigma_final"))

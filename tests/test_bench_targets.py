@@ -13,6 +13,7 @@ import os
 
 import numpy as np
 
+from mfeit.admissible import AdmissibleParams
 from mfeit.mesh import build_grid
 from mfeit.phantom import Inclusion, PhantomSpec, make_phantom
 
@@ -34,7 +35,8 @@ def test_every_span_target_resolves():
 def test_make_phantom_exposes_sigma_and_eps():
     # The benchmark reads the phantom's ``.sigma`` / ``.eps``; the package
     # takes ``np.stack`` of the same result as its (2, n, n) field.
-    result = make_phantom(PhantomSpec(inclusions=[Inclusion(0.5, 0.5, 0.15, 0.5, -0.3)]), build_grid(17, 0.2))
+    spec = PhantomSpec(inclusions=[Inclusion(0.5, 0.5, 0.15, 0.5, -0.3)])
+    result = make_phantom(spec, build_grid(17, 0.2), AdmissibleParams())
     field = np.stack(result)
     assert field.shape == (2, 17, 17)
     assert np.array_equal(result.sigma, field[0])

@@ -1,6 +1,7 @@
 import configparser
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from mfeit.fieldio import read_dataset, read_field, write_dataset, write_field, 
 from mfeit.mesh import build_grid, l2_norm_sq
 from mfeit import pde
 from mfeit.pde import blas_thread_controls, map_frequencies
-from mfeit.phantom import add_noise, make_phantom, synthesize_data
+from mfeit.phantom import add_noise, make_phantom, phantom_id, synthesize_data
 
 from helpers import ONE_BUMP, TWO_BUMPS, CountingLU, write_field_csv_per_node
 
@@ -23,13 +24,13 @@ from helpers import ONE_BUMP, TWO_BUMPS, CountingLU, write_field_csv_per_node
 class TestMakePhantom:
     def test_empty_spec_is_background(self):
         g = build_grid(17, 0.2)
-        a = make_phantom(PhantomSpec(sigma0=1.5, eps0=0.8), g)
+        a = make_phantom(PhantomSpec(), g, AdmissibleParams(sigma0=1.5, eps0=0.8))
         assert np.all(a.sigma == 1.5)
         assert np.all(a.eps == 0.8)
 
     def test_amplitude_reached_at_center_node(self):
         g = build_grid(65, 0.2)  # odd n: (0.5, 0.5) is a node
-        a = make_phantom(PhantomSpec(inclusions=[Inclusion(0.5, 0.5, 0.15, 0.5, 0.2)]), g)
+        a = make_phantom(PhantomSpec(inclusions=[Inclusion(0.5, 0.5, 0.15, 0.5, 0.2)]), g, AdmissibleParams())
         assert np.max(a.sigma) == pytest.approx(1.5, abs=1e-14)
         i = np.argmax(np.abs(g.xs - 0.5) < 1e-12)
         assert a.sigma[i, i] == pytest.approx(1.5, abs=1e-14)
@@ -37,18 +38,34 @@ class TestMakePhantom:
     def test_rejects_bound_violation(self):
         g = build_grid(33, 0.2)
         with pytest.raises(ValueError, match="admissible"):
-            make_phantom(PhantomSpec(inclusions=[Inclusion(0.5, 0.5, 0.15, 20.0, 0.0)]), g)
+            make_phantom(PhantomSpec(inclusions=[Inclusion(0.5, 0.5, 0.15, 20.0, 0.0)]), g, AdmissibleParams())
 
     def test_rejects_support_violation(self):
         g = build_grid(33, 0.2)
         with pytest.raises(ValueError, match="interior"):
-            make_phantom(PhantomSpec(inclusions=[Inclusion(0.3, 0.3, 0.15, 0.5, 0.1)]), g)
+            make_phantom(PhantomSpec(inclusions=[Inclusion(0.3, 0.3, 0.15, 0.5, 0.1)]), g, AdmissibleParams())
 
     @pytest.mark.parametrize("radius", [0.0, -0.1, float("nan"), float("inf")])
     def test_rejects_nonpositive_or_non_finite_radius(self, radius):
         g = build_grid(17, 0.2)
         with pytest.raises(ValueError, match="radius"):
-            make_phantom(PhantomSpec(inclusions=[Inclusion(0.5, 0.5, radius, 0.5, 0.2)]), g)
+            make_phantom(PhantomSpec(inclusions=[Inclusion(0.5, 0.5, radius, 0.5, 0.2)]), g, AdmissibleParams())
+
+
+class TestPhantomId:
+    def test_default_phantom(self):
+        spec = parse_config(DEFAULT_CFG).phantom
+        expected = "bg(1,1)+bump(0.45,0.5,0.15,0.8,-0.3)+bump(0.65,0.6,0.12,-0.4,0.6)"
+        assert phantom_id(spec, AdmissibleParams()) == expected
+
+    def test_close_phantoms_get_distinct_ids(self):
+        # rounded to 6 significant digits, both centers would read 0.45
+        a = PhantomSpec(inclusions=[Inclusion(0.45, 0.5, 0.15, 0.8, -0.3)])
+        b = PhantomSpec(inclusions=[Inclusion(0.4500001, 0.5, 0.15, 0.8, -0.3)])
+        assert phantom_id(a, AdmissibleParams()) != phantom_id(b, AdmissibleParams())
+
+    def test_background_comes_from_the_admissible_set(self):
+        assert phantom_id(PhantomSpec(), AdmissibleParams(sigma0=1.5, eps0=2.0)) == "bg(1.5,2)"
 
 
 class TestSynthesize:
@@ -131,11 +148,11 @@ class TestFieldIO:
         rng = np.random.default_rng(0)
         f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
         base = str(tmp_path / "field")
-        write_field(base, f, g, meta={"label": "test"})
+        write_field(base, f, g)
         back, meta = read_field(base)
         assert np.array_equal(back, f)
-        assert meta["label"] == "test"
         assert meta["kind"] == "complex"
+        assert meta["c0"] == "0.2"
 
     def test_dataset_roundtrip_bitwise(self, tmp_path):
         cfg = RunConfig(n=17, c0=0.2, n_freq=3, refinement=2, phantom=ONE_BUMP)
@@ -159,6 +176,21 @@ class TestFieldIO:
         for name in sorted(os.listdir(d1)):
             with open(os.path.join(d1, name), "rb") as fa, open(os.path.join(d2, name), "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+    def test_numpy_scalars_roundtrip_as_plain_floats(self, tmp_path):
+        # a manifest written from numpy scalars reads back, byte for byte the one written from floats
+        trees = []
+        for cast in (float, np.float64):
+            cfg = RunConfig(n=17, c0=cast(0.2), omega_lo=cast(1.0), omega_hi=cast(2.0), n_freq=2,
+                            refinement=1, phantom=ONE_BUMP)
+            data = add_noise(synthesize_data(ONE_BUMP, cfg), cast(0.01), 3)
+            target = tmp_path / cast.__name__
+            write_dataset(str(target), data)
+            back = read_dataset(str(target))
+            assert back.grid.c0 == 0.2 and back.freqs.omega_hi == 2.0
+            assert back.metadata["noise_level"] == "0.01"
+            trees.append({p.name: p.read_bytes() for p in sorted(target.iterdir())})
+        assert trees[0] == trees[1]
 
     @pytest.mark.parametrize("kind", ["real", "complex", "extreme", "int"])
     def test_csv_bytes_match_per_node_writer(self, tmp_path, kind):
@@ -254,6 +286,7 @@ class TestDatasetValidation:
 
 
 DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def _finite(lo=-1e6, hi=1e6):
@@ -272,21 +305,20 @@ def _run_configs(draw):
     )
     inclusion = st.builds(Inclusion, _finite(), _finite(), _finite(1e-3, 0.5), _finite(), _finite())
     omega_lo = draw(_finite(0.1, 2.0))
+    n = draw(st.integers(9, 65))
     return RunConfig(
-        n=draw(st.integers(9, 65)),
-        c0=draw(_finite(0.01, 0.49)),
+        n=n,
+        c0=draw(_finite(0.01, 0.49 - 0.5 / (n - 1))),  # a node inside the interior region
         admissible=admissible,
         omega_lo=omega_lo,
         omega_hi=omega_lo + draw(_finite(0.1, 5.0)),
         n_freq=draw(st.integers(1, 12)),
-        phantom=PhantomSpec(draw(_finite()), draw(_finite()), draw(st.lists(inclusion, max_size=3))),
+        phantom=PhantomSpec(draw(st.lists(inclusion, max_size=3))),
         mu=draw(st.none() | _finite(1e-6, 1e3)),
         max_iters=draw(st.integers(1, 10_000)),
         stop_tol=draw(_finite(0.0, 1.0)),
-        log_every=draw(st.integers(0, 100)),
         x0=draw(st.sampled_from(["initguess", "background"])),
         lambda_min=draw(_finite()),
-        allow_low_coverage=draw(st.booleans()),
         pinv_tol=draw(_finite(1e-15, 0.5)),
         noise_level=draw(_finite(0.0, 1.0)),
         noise_seed=draw(st.integers(0, 2**31)),
@@ -313,6 +345,17 @@ class TestConfig:
             text = fh.read()
         assert serialize_config(parse_config(DEFAULT_CFG)) == text
 
+    def test_readme_block_shows_every_key_at_its_default(self):
+        with open(README, encoding="utf-8") as fh:
+            block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+        cp.read_string(block)
+        assert {s: cp.options(s) for s in cp.sections()} == {s: list(keys) for s, keys in _SCHEMA.items()}
+        # the inclusions shown are the default file's phantom; the default is none
+        shown = parse_config_text(block)
+        assert shown == RunConfig(phantom=shown.phantom)
+        assert shown.phantom == parse_config(DEFAULT_CFG).phantom
+
     def test_schema_names_every_field_once(self):
         # a field left out of the key table would never reach the file
         attrs = [attr for keys in _SCHEMA.values() for attr in keys.values()]
@@ -322,9 +365,24 @@ class TestConfig:
             nested = {a.split(".")[1] for a in attrs if a.startswith(owner + ".")}
             assert nested == {f.name for f in dataclasses.fields(spec)}
 
-    def test_removed_key_is_unknown(self):
-        with pytest.raises(ConfigError, match="unknown key 'per_frequency_eps' in section \\[initguess\\]"):
-            parse_config_text("[initguess]\nper_frequency_eps = false\n")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[initguess]\nper_frequency_eps = false\n", "unknown key 'per_frequency_eps' in section [initguess]"),
+            ("[phantom]\nsigma0 = 1.0\n", "unknown key 'sigma0' in section [phantom]"),
+            ("[phantom]\neps0 = 1.0\n", "unknown key 'eps0' in section [phantom]"),
+            ("[landweber]\nallow_low_coverage = true\n", "unknown key 'allow_low_coverage' in section [landweber]"),
+            ("[landweber]\nlog_every = 10\n", "unknown key 'log_every' in section [landweber]"),
+            ("[boundary]\nphi = coords\n", "unknown section [boundary]"),
+        ],
+    )
+    def test_removed_key_is_unknown(self, text, message, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_text(text)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["coverage", "--config", str(path)]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
     def test_roundtrip_identity(self):
         cfg = RunConfig(
@@ -391,7 +449,6 @@ class TestConfig:
             ("[initguess]\npinv_tol = 0\n", "pinv_tol"),
             ("[initguess]\npinv_tol = 1\n", r"\[initguess\] pinv_tol"),
             ("[initguess]\npinv_tol = 2.5\n", r"\[initguess\] pinv_tol"),
-            ("[landweber]\nlog_every = -1\n", "log_every"),
             ("[noise]\nlevel = nan\n", "level"),
             ("[admissible]\nc4 = inf\n", "c4"),
             ("[frequencies]\nomega_hi = inf\n", "omega_hi"),
@@ -493,7 +550,7 @@ class TestCli:
 
         iters = 2
         cfg = RunConfig(n=17, c0=0.2, refinement=1, phantom=ONE_BUMP, max_iters=iters,
-                        stop_tol=0.0, allow_low_coverage=True, output_dir=str(tmp_path / "out"))
+                        stop_tol=0.0, lambda_min=0.0, output_dir=str(tmp_path / "out"))
         path = tmp_path / "run.cfg"
         path.write_text(serialize_config(cfg))
         assert main(["simulate", "--config", str(path)]) == 0
@@ -545,7 +602,7 @@ class TestCli:
                 freed[self.key] = threading.get_ident()
 
         cfg = RunConfig(n=17, c0=0.2, refinement=1, phantom=ONE_BUMP, max_iters=3,
-                        stop_tol=0.0, allow_low_coverage=True, output_dir=str(tmp_path / "out"))
+                        stop_tol=0.0, lambda_min=0.0, output_dir=str(tmp_path / "out"))
         path = tmp_path / "run.cfg"
         path.write_text(serialize_config(cfg))
         monkeypatch.setenv("MFEIT_THREADS", "2")
@@ -611,6 +668,14 @@ class TestCli:
         assert main(["init-guess", "--config", str(bad), "--data", str(tmp_path / "none")]) == 2
         assert "[initguess] pinv_tol" in capsys.readouterr().err
 
+    def test_grid_without_interior_node_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[grid]\nn = 10\nc0 = 0.45\n")
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "n=10" in err and "c0=0.45" in err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_grid_mismatch_exits_2(self, tmp_path, constant_cfg):
         path, out = constant_cfg
         assert main(["simulate", "--config", path]) == 0
@@ -627,10 +692,10 @@ class TestCli:
         gated_path = tmp_path / "gated.cfg"
         gated_path.write_text(serialize_config(gated))
         assert main(["reconstruct", "--config", str(gated_path)]) == 2
-        assert "coverage lambda" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "coverage lambda" in err and "lambda_min = 0" in err
 
-        forced = RunConfig(**base, lambda_min=10.0, allow_low_coverage=True,
-                           output_dir=str(tmp_path / "f"))
+        forced = RunConfig(**base, lambda_min=0.0, output_dir=str(tmp_path / "f"))
         forced_path = tmp_path / "forced.cfg"
         forced_path.write_text(serialize_config(forced))
         assert main(["reconstruct", "--config", str(forced_path)]) == 0

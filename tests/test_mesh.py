@@ -30,6 +30,13 @@ def test_build_grid_rejects_bad_inputs():
         build_grid(33, 0.0)
 
 
+def test_build_grid_rejects_an_empty_interior_region():
+    # for even n the nodes nearest the center lie h/2 off it: none is farther than c0 from the edge
+    with pytest.raises(ValueError, match="n=10.*c0=0.45"):
+        build_grid(10, 0.45)
+    assert build_grid(11, 0.45).interior_mask.sum() == 1
+
+
 def test_boundary_ring_count():
     g = build_grid(33, 0.2)
     assert len(g.boundary_index) == 4 * 33 - 4

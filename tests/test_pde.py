@@ -21,6 +21,7 @@ from mfeit.pde import (
 from mfeit.properbc import canonical_phi
 
 from helpers import TWO_BUMPS, CountingLU, assemble_matrix, reference_solve_dirichlet
+from mfeit.admissible import AdmissibleParams
 from mfeit.phantom import make_phantom
 
 
@@ -164,7 +165,7 @@ def test_solve_forward_constant_gives_coordinates(grid17):
 
 def test_solve_forward_bump_keeps_boundary_exact():
     g = build_grid(33, 0.2)
-    a = np.stack(make_phantom(TWO_BUMPS, g))
+    a = np.stack(make_phantom(TWO_BUMPS, g, AdmissibleParams()))
     phi = canonical_phi(g)
     u = solve_dirichlet(assemble(g, a, 1.5), phi)
     assert np.array_equal(g.trace(u[0]), phi[0].astype(complex))
@@ -178,7 +179,7 @@ def test_solve_forward_self_convergence():
     sols = {}
     for n in (17, 33, 65):
         g = build_grid(n, 0.2)
-        a = np.stack(make_phantom(TWO_BUMPS, g))
+        a = np.stack(make_phantom(TWO_BUMPS, g, AdmissibleParams()))
         sols[n] = (g, solve_dirichlet(assemble(g, a, omega), canonical_phi(g)))
     def diff(nc, nf):
         gc, uc = sols[nc]
@@ -444,7 +445,7 @@ NINE = np.linspace(1.0, 2.0, 9)
 @pytest.fixture(scope="module")
 def two_bumps33():
     g = build_grid(33, 0.2)
-    return g, np.stack(make_phantom(TWO_BUMPS, g)), canonical_phi(g)
+    return g, np.stack(make_phantom(TWO_BUMPS, g, AdmissibleParams())), canonical_phi(g)
 
 
 def _count_factorizations(monkeypatch) -> list:

@@ -5,6 +5,7 @@ from mfeit import pde
 from mfeit.mesh import build_grid
 from mfeit.objective import FrequencyGrid
 from mfeit.pde import assemble, constant_field, solve_dirichlet
+from mfeit.admissible import AdmissibleParams
 from mfeit.phantom import make_phantom
 from mfeit.properbc import canonical_phi, coverage_lambda, det_gradient_map
 
@@ -55,7 +56,7 @@ def test_coverage_single_frequency_weight(grid):
 def test_coverage_bump_phantom_regression():
     # frozen from the first validated run at n=65, 9 frequencies on (1, 2)
     g = build_grid(65, 0.2)
-    phantom = np.stack(make_phantom(TWO_BUMPS, g))
+    phantom = np.stack(make_phantom(TWO_BUMPS, g, AdmissibleParams()))
     cov = coverage_lambda(g, phantom, FrequencyGrid.uniform(1.0, 2.0, 9), canonical_phi(g))
     assert cov.lam > 0.0
     assert cov.lam == pytest.approx(0.7588, rel=0.2)
@@ -63,7 +64,7 @@ def test_coverage_bump_phantom_regression():
 
 def test_lambda_invariant_under_trace_swap(grid):
     g33 = build_grid(33, 0.2)
-    phantom = np.stack(make_phantom(TWO_BUMPS, g33))
+    phantom = np.stack(make_phantom(TWO_BUMPS, g33, AdmissibleParams()))
     freqs = FrequencyGrid.uniform(1.0, 2.0, 3)
     phi = canonical_phi(g33)
     cov = coverage_lambda(g33, phantom, freqs, phi)
@@ -81,7 +82,7 @@ def test_lambda_scales_with_interval_length(grid):
 
 def test_lambda_stable_under_tiny_coefficient_perturbation():
     g = build_grid(33, 0.2)
-    phantom = make_phantom(TWO_BUMPS, g)
+    phantom = make_phantom(TWO_BUMPS, g, AdmissibleParams())
     freqs = FrequencyGrid.uniform(1.0, 2.0, 3)
     phi = canonical_phi(g)
     lam = coverage_lambda(g, np.stack(phantom), freqs, phi).lam
@@ -99,7 +100,7 @@ def _assert_matches_per_frequency_loop(g, phantom, freqs, phi):
 
 def test_coverage_matches_per_frequency_loop():
     g = build_grid(33, 0.2)
-    phantom = np.stack(make_phantom(TWO_BUMPS, g))
+    phantom = np.stack(make_phantom(TWO_BUMPS, g, AdmissibleParams()))
     _assert_matches_per_frequency_loop(g, phantom, FrequencyGrid.uniform(1.0, 2.0, 9), canonical_phi(g))
 
 
@@ -114,6 +115,6 @@ def test_coverage_fallback_matches_per_frequency_loop(monkeypatch):
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **k: made.append(1) or splu(*a, **k))
     g = build_grid(33, 0.2)
-    phantom = np.stack(make_phantom(TWO_BUMPS, g))
+    phantom = np.stack(make_phantom(TWO_BUMPS, g, AdmissibleParams()))
     _assert_matches_per_frequency_loop(g, phantom, FrequencyGrid.uniform(1.0, 2.0, 9), canonical_phi(g))
     assert len(made) == 1 + 8 + 9  # sweep, fallbacks, then the oracle's own loop
