@@ -98,7 +98,7 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
 
     cov = coverage_lambda(grid, x0, data.freqs, data.boundary_data())
     print(f"coverage lambda at start iterate: {cov.lam:.6e}")
-    if cov.lam < cfg.lambda_min:
+    if not cov.lam >= cfg.lambda_min:  # a NaN lambda fails the gate
         print(
             f"error: coverage lambda {cov.lam:.3e} below threshold {cfg.lambda_min:.3e}; "
             "set lambda_min = 0 to override",

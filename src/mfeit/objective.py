@@ -60,6 +60,11 @@ class FrequencyGrid:
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
+        # NaN passes every comparison below, so non-finite values are named first.
+        for name, values in (("omega_lo", self.omega_lo), ("omega_hi", self.omega_hi),
+                             ("frequency nodes", self.nodes), ("quadrature weights", self.weights)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
         if not self.omega_lo < self.omega_hi:
             raise ValueError("frequency interval must satisfy omega_lo < omega_hi")
         if self.nodes.ndim != 1 or self.nodes.size == 0:
@@ -85,7 +90,9 @@ class FrequencyGrid:
             nodes = np.array([0.5 * (omega_lo + omega_hi)])
             weights = np.array([length])
         else:
-            nodes = np.linspace(omega_lo, omega_hi, count)
+            # non-finite bounds are rejected by the constructor, not warned about here
+            with np.errstate(invalid="ignore"):
+                nodes = np.linspace(omega_lo, omega_hi, count)
             weights = np.full(count, length / (count - 1))
             weights[0] *= 0.5
             weights[-1] *= 0.5

@@ -273,6 +273,14 @@ class TestDatasetValidation:
         self._edit_manifest(data_dir, lambda sec: sec.pop("weights"))
         self._rejects(path, data_dir, "manifest.cfg", capsys)
 
+    def test_manifest_non_finite_weights(self, dataset, capsys):
+        # NaN weights pass every comparison of the frequency grid's checks
+        path, data_dir = dataset
+        self._edit_manifest(data_dir, lambda sec: sec.__setitem__("weights", "nan nan"))
+        self._rejects(path, data_dir, "manifest.cfg", capsys)
+        assert main(["reconstruct", "--config", path, "--data", data_dir]) == 2
+        assert "quadrature weights must be finite" in capsys.readouterr().err
+
     def test_manifest_nodes_and_weights_differ_in_length(self, dataset, capsys):
         # one weight equal to the interval length for the two nodes
         path, data_dir = dataset
@@ -543,9 +551,10 @@ class TestCli:
         assert sigma.shape == (17, 17)
 
     def test_reconstruct_reuses_start_factorizations(self, tmp_path, monkeypatch):
-        # init guess 1 + coverage 1 + step-size estimate 9 + 9 per step
-        # after the first, which reuses the estimate's forward states; every
-        # solve passes the gate on its first triangular solve
+        # coverage 1 + step-size estimate 9 + 9 per step after the first,
+        # which reuses the estimate's forward states; the initial guess
+        # factors nothing, and every solve passes the gate on its first
+        # triangular solve
         import scipy.sparse.linalg as spla
 
         iters = 2
@@ -560,8 +569,35 @@ class TestCli:
         data_dir = str(tmp_path / "out" / "dataset")
         assert main(["reconstruct", "--config", str(path), "--data", data_dir]) == 0
         assert cfg.mu is None and cfg.n_freq == 9
-        assert len(made) == 9 * iters + 2
-        assert sum(lu.solves for lu in made) == 187
+        assert len(made) == 9 * iters + 1
+        assert sum(lu.solves for lu in made) == 186
+
+    def test_init_guess_makes_no_factorization(self, tmp_path, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        cfg = RunConfig(n=17, c0=0.2, refinement=1, phantom=ONE_BUMP, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "run.cfg"
+        path.write_text(serialize_config(cfg))
+        assert main(["simulate", "--config", str(path)]) == 0
+        made = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: made.append(1) or splu(*a, **k))
+        assert main(["init-guess", "--config", str(path), "--data", str(tmp_path / "out" / "dataset")]) == 0
+        assert made == []
+
+    def test_cli_import_does_not_load_scipy_fft(self):
+        # scipy.fft takes about 90 ms to import; the sine transform uses numpy.fft
+        import subprocess
+        import sys
+
+        import mfeit
+
+        src = os.path.dirname(os.path.dirname(mfeit.__file__))
+        code = "import sys, mfeit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_coverage_makes_one_factorization(self, tmp_path, monkeypatch):
         # the shifted sweep: one 4-column solve, then one per Krylov step
@@ -699,3 +735,17 @@ class TestCli:
         forced_path = tmp_path / "forced.cfg"
         forced_path.write_text(serialize_config(forced))
         assert main(["reconstruct", "--config", str(forced_path)]) == 0
+
+    def test_coverage_gate_refuses_nan_lambda(self, tmp_path, capsys, monkeypatch):
+        import mfeit.cli
+        from mfeit.properbc import CoverageMap
+
+        cfg = RunConfig(n=17, c0=0.2, n_freq=2, refinement=1, phantom=PhantomSpec(),
+                        x0="background", max_iters=2, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "run.cfg"
+        path.write_text(serialize_config(cfg))
+        monkeypatch.setattr(mfeit.cli, "coverage_lambda", lambda *a: CoverageMap(m=None, lam=float("nan")))
+        assert main(["reconstruct", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "coverage lambda nan below threshold" in err
+        assert not os.path.exists(tmp_path / "out" / "trajectory.csv")

@@ -45,6 +45,17 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(1.0, 2.0, np.array([1.2, 1.5]), np.array([0.5, 0.4]))
 
+    def test_non_finite_values_rejected(self):
+        # NaN passes every comparison, so each value is checked by name
+        with pytest.raises(ValueError, match="omega_hi must be finite"):
+            FrequencyGrid.uniform(1.0, np.inf, 9)
+        with pytest.raises(ValueError, match="omega_lo must be finite"):
+            FrequencyGrid(np.nan, 2.0, np.array([1.5]), np.array([1.0]))
+        with pytest.raises(ValueError, match="frequency nodes must be finite"):
+            FrequencyGrid(1.0, 2.0, np.array([1.2, np.nan]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="quadrature weights must be finite"):
+            FrequencyGrid(1.0, 2.0, np.array([1.2, 1.5]), np.array([np.nan, 1.0]))
+
     def test_nodes_and_weights_of_different_lengths_rejected(self):
         # two weights summing to the interval length, three nodes
         with pytest.raises(ValueError, match="3 frequency nodes but 2 weights"):

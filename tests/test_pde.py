@@ -245,6 +245,43 @@ def test_solve_poisson_examples(grid17):
     assert np.max(np.abs(gamma_q - quad)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [9, 10, 33, 50, 65])
+@pytest.mark.parametrize("m", [None, 3])
+def test_solve_poisson_matches_factored_solve(n, m):
+    # the sine transform solves the system assemble builds, with its rounding
+    # of 1/h**2 (n - 1 not a power of two) and an odd or even side
+    g = build_grid(n, 0.2)
+    rng = np.random.default_rng(n)
+    lead = () if m is None else (m,)
+    nb = len(g.boundary_index)
+    src = 100.0 * (rng.standard_normal(lead + g.shape) + 1j * rng.standard_normal(lead + g.shape))
+    bc = rng.standard_normal(lead + (nb,)) + 1j * rng.standard_normal(lead + (nb,))
+    a = constant_field(g, 1.0, 1.0)
+    u = solve_poisson(g, src, bc)
+    ref = solve_dirichlet(assemble(g, a, 0.0), bc, src)
+    assert u.shape == ref.shape
+    assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(g.trace(u), bc)
+    cols = (1,) if m is None else ()
+    bound = _full_backward_error(g, a, 0.0, u.reshape(cols + u.shape), bc.reshape(cols + bc.shape),
+                                 src.reshape(cols + src.shape))
+    assert bound <= SOLVE_RTOL
+
+
+def test_solve_poisson_keeps_the_solve_contract(grid17, monkeypatch):
+    g = grid17
+    bc = g.trace(g.X).astype(complex)
+    eigenvalues = pde._poisson_eigenvalues
+    with monkeypatch.context() as patch:
+        patch.setattr(pde, "_poisson_eigenvalues", lambda op: eigenvalues(op) * (1.0 + 1e-6))
+        with pytest.raises(pde.SolverError, match="exceeds tolerance"):
+            solve_poisson(g, np.zeros(g.shape), bc)
+    src = np.zeros(g.shape, dtype=complex)
+    src[8, 8] = np.nan
+    with pytest.raises(ValueError, match="non-finite right-hand side"):
+        solve_poisson(g, src, bc)
+
+
 def test_superposition_in_bc_and_src(grid17):
     g = grid17
     op = assemble(g, constant_field(g, 1.3, 0.8), 1.1)
@@ -484,6 +521,15 @@ def test_sweep_passes_each_state_to_finish(two_bumps33, monkeypatch):
     made = _count_factorizations(monkeypatch)
     assert solve_frequencies(g, a, NINE, phi, lambda u: None) == [None] * len(NINE)
     assert len(made) == 1  # a None from finish is a result, not a miss
+
+
+def test_sweep_zero_boundary_data_gives_zero_states(two_bumps33):
+    # every Krylov direction deflates: the states are zero, as solve_dirichlet's are
+    g, a, phi = two_bumps33
+    zero = np.zeros_like(phi)
+    states = solve_frequencies(g, a, NINE, zero, lambda u: u[:, ::2, ::2])
+    for omega, u in zip(NINE, states):
+        assert np.array_equal(u, solve_dirichlet(assemble(g, a, omega), zero)[:, ::2, ::2])
 
 
 def test_sweep_rejects_single_boundary_column(two_bumps33):
