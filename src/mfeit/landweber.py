@@ -26,7 +26,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .admissible import AdmissibleParams, project_T
-from .mesh import Grid, l2_norm_sq
+from .mesh import Grid
 from .objective import (
     Dataset,
     ForwardState,
@@ -37,9 +37,15 @@ from .objective import (
     random_smooth_pair,
     residual_norm_sq,
 )
-from .pde import SolverError
+from .pde import SolverError, blas_one_thread
 
 logger = logging.getLogger(__name__)
+
+#: Lanczos steps of the step-size estimate, one normal-operator application each.
+LANCZOS_STEPS = 4
+
+#: Relative size of the Lanczos residual below which the Krylov space is invariant.
+LANCZOS_BREAKDOWN = 1e-12
 
 #: Length of the relative-decrease plateau window of the stopping rule.
 PLATEAU_WINDOW = 10
@@ -52,11 +58,12 @@ LOG_EVERY = 10
 class LandweberConfig:
     """Iteration controls.
 
-    ``mu=None`` requests the automatic step size (power-iteration estimate
-    of the squared derivative norm at the start iterate, with a 0.9 safety
-    factor).  ``stop_tol`` bounds the relative misfit decrease over a
-    10-iteration window below which the run stops; zero disables that rule
-    and the loop runs the full ``max_iters``.
+    ``mu=None`` requests the automatic step size (``estimate_step_size``:
+    a Lanczos estimate of the squared derivative norm at the start iterate,
+    with a 0.9 safety factor).  ``stop_tol`` bounds the relative misfit
+    decrease over a 10-iteration window below which the run stops; zero
+    disables that rule and the loop runs the full ``max_iters``.  ``mu`` and
+    ``stop_tol`` must be finite.
     """
 
     admissible: AdmissibleParams = field(default_factory=AdmissibleParams)
@@ -65,6 +72,10 @@ class LandweberConfig:
     stop_tol: float = 1e-10
 
     def __post_init__(self):
+        # NaN passes every comparison below, so non-finite values are named first.
+        for name, value in (("step size mu", self.mu), ("stop_tol", self.stop_tol)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.mu is not None and self.mu <= 0.0:
             raise ValueError("step size mu must be positive")
         if self.max_iters < 1:
@@ -83,25 +94,50 @@ class IterationRecord:
 
 
 def estimate_step_size(grid: Grid, states: list[ForwardState]) -> float:
-    """Step size from a power-iteration estimate of the squared derivative norm.
+    """Step size from a Lanczos estimate of the squared derivative norm.
 
     ``states`` are the forward states at the (projected) start iterate.
-    Iterates the frequency-summed normal operator 8 times on a random
-    interior direction (seed 0) and returns ``0.9 / L`` for the Rayleigh
-    quotient L at the last iterate.
+    Runs ``LANCZOS_STEPS`` Lanczos steps on the frequency-summed normal
+    operator in the L2 pairing of ``directional_derivative``, from a random
+    interior direction (seed 0), and reorthogonalizes each new vector twice
+    against all kept ones.  L is the largest Ritz value; like a power
+    estimate it bounds the largest eigenvalue from below, and it is
+    returned as the step size ``0.9 / L``.  A residual below
+    ``LANCZOS_BREAKDOWN`` of the operator's output ends the iteration early
+    (the Krylov space is invariant, so its Ritz values are eigenvalues).  A
+    non-finite or non-positive L raises ``SolverError``.
     """
-    d = random_smooth_pair(grid, np.random.default_rng(0))
-    d = d / math.sqrt(l2_norm_sq(grid, d[0]) + l2_norm_sq(grid, d[1]))
-    lam = 0.0
-    for _ in range(8):
-        nd = gauss_newton_apply(grid, states, d)
-        lam = directional_derivative(grid, nd, d)
-        nrm = math.sqrt(l2_norm_sq(grid, nd[0]) + l2_norm_sq(grid, nd[1]))
-        if nrm == 0.0:
+
+    def inner(a: np.ndarray, b: np.ndarray) -> float:
+        return directional_derivative(grid, a, b)
+
+    q = random_smooth_pair(grid, np.random.default_rng(0))
+    basis = [q / math.sqrt(inner(q, q))]
+    alpha: list[float] = []
+    beta: list[float] = []
+    while True:
+        w = gauss_newton_apply(grid, states, basis[-1])
+        alpha.append(inner(w, basis[-1]))
+        if len(alpha) == LANCZOS_STEPS:
             break
-        d = nd / nrm
-    if lam <= 0.0:
-        raise SolverError("power iteration failed to produce a positive norm estimate")
+        scale = math.sqrt(inner(w, w))
+        for _ in range(2):
+            for v in basis:
+                w = w - inner(w, v) * v
+        b = math.sqrt(inner(w, w))
+        if not b > LANCZOS_BREAKDOWN * scale:
+            break
+        beta.append(b)
+        basis.append(w / b)
+    tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    lam = float("nan")
+    if np.all(np.isfinite(tri)):
+        # LAPACK on one thread, so the estimate has the same bits at every thread count
+        with blas_one_thread():
+            lam = float(np.linalg.eigvalsh(tri)[-1])
+    logger.info("step-size estimate: Ritz value %.6e after %d normal-operator applications", lam, len(alpha))
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise SolverError(f"Lanczos failed to produce a positive norm estimate (got {lam!r})")
     return 0.9 / lam
 
 

@@ -21,7 +21,7 @@ enter once, through ``A_IB``.  Every column must meet the ``SOLVE_RTOL``
 backward-error gate of the full system, whose norms include the boundary
 values.  The gate is checked on the first triangular solve, and a
 refinement sweep (at most two) runs only when some column misses it, so a
-call normally costs one triangular solve: 144 + 18 N for an N-iteration
+call normally costs one triangular solve: 72 + 18 N for an N-iteration
 ``reconstruct`` with the automatic step size and 9 frequencies, besides
 the shifted sweep of its coverage gate.  Around
 that solve a call does one ``A_II`` product and little else: the interior

@@ -551,10 +551,12 @@ class TestCli:
         assert sigma.shape == (17, 17)
 
     def test_reconstruct_reuses_start_factorizations(self, tmp_path, monkeypatch):
-        # coverage 1 + step-size estimate 9 + 9 per step after the first,
-        # which reuses the estimate's forward states; the initial guess
-        # factors nothing, and every solve passes the gate on its first
-        # triangular solve
+        # factorizations: coverage 1 + step-size estimate 9 + 9 per step
+        # after the first, which reuses the estimate's forward states; the
+        # initial guess factors nothing.  Solves: 72 for the 4 Lanczos
+        # applications of the normal operator, 18 per step (forward and
+        # adjoint) and the coverage sweep's k + 1; each passes the gate on
+        # its first triangular solve
         import scipy.sparse.linalg as spla
 
         iters = 2
@@ -570,7 +572,7 @@ class TestCli:
         assert main(["reconstruct", "--config", str(path), "--data", data_dir]) == 0
         assert cfg.mu is None and cfg.n_freq == 9
         assert len(made) == 9 * iters + 1
-        assert sum(lu.solves for lu in made) == 186
+        assert sum(lu.solves for lu in made) == 114
 
     def test_init_guess_makes_no_factorization(self, tmp_path, monkeypatch):
         import scipy.sparse.linalg as spla

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,14 @@ from mfeit.landweber import (
     step,
 )
 from mfeit.initguess import initial_guess
-from mfeit.objective import forward_states
-from mfeit.pde import constant_field
+from mfeit.mesh import l2_norm_sq
+from mfeit.objective import (
+    directional_derivative,
+    forward_states,
+    gauss_newton_apply,
+    random_smooth_pair,
+)
+from mfeit.pde import SolverError, constant_field
 from mfeit.phantom import make_phantom, synthesize_data
 
 from helpers import (
@@ -46,6 +55,27 @@ def bump_setup(data33_single):
     return data, cfg, truth, x0
 
 
+@pytest.fixture(scope="module")
+def bump17_states():
+    """Forward states at the projected initial guess of a one-bump n=17 dataset."""
+    cfg = RunConfig(n=17, c0=0.2, n_freq=5, refinement=1, phantom=ONE_BUMP)
+    data = synthesize_data(ONE_BUMP, cfg)
+    x0 = project_T(data.grid, initial_guess(data, cfg.admissible), cfg.admissible)
+    return data.grid, forward_states(x0, data)
+
+
+def power_estimate(grid, states, steps=8):
+    """Rayleigh quotient after ``steps`` power steps from the estimate's seed-0 direction."""
+    d = random_smooth_pair(grid, np.random.default_rng(0))
+    d = d / math.sqrt(l2_norm_sq(grid, d[0]) + l2_norm_sq(grid, d[1]))
+    lam = 0.0
+    for _ in range(steps):
+        nd = gauss_newton_apply(grid, states, d)
+        lam = directional_derivative(grid, nd, d)
+        d = nd / math.sqrt(l2_norm_sq(grid, nd[0]) + l2_norm_sq(grid, nd[1]))
+    return lam
+
+
 def test_config_invariants():
     with pytest.raises(ValueError):
         LandweberConfig(mu=-1.0)
@@ -53,6 +83,64 @@ def test_config_invariants():
         LandweberConfig(max_iters=0)
     with pytest.raises(ValueError):
         LandweberConfig(stop_tol=-1e-3)
+
+
+@pytest.mark.parametrize("field, value", [("mu", math.nan), ("mu", math.inf), ("stop_tol", math.nan),
+                                          ("stop_tol", math.inf)])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        LandweberConfig(**{field: value})
+
+
+def test_step_size_estimate_between_power_and_largest_eigenvalue(bump17_states):
+    grid, states = bump17_states
+    # the normal operator as a dense matrix on the interior nodes of both components
+    nodes = np.flatnonzero(grid.interior_mask)
+    columns = []
+    for comp in range(2):
+        for node in nodes:
+            e = np.zeros((2,) + grid.shape)
+            e[comp].flat[node] = 1.0
+            columns.append(gauss_newton_apply(grid, states, e).reshape(2, -1)[:, nodes].ravel())
+    normal = np.array(columns).T
+    assert np.allclose(normal, normal.T, rtol=0.0, atol=1e-9 * np.abs(normal).max())
+    lam_max = np.linalg.eigvalsh(0.5 * (normal + normal.T))[-1]
+    lam = 0.9 / estimate_step_size(grid, states)
+    assert power_estimate(grid, states) <= lam <= (1.0 + 1e-10) * lam_max
+
+
+def test_step_size_estimate_stops_at_invariant_subspace(bump17_states, monkeypatch, caplog):
+    import mfeit.landweber as lw
+
+    grid, states = bump17_states
+    modes = np.zeros((2, 2) + grid.shape)
+    for comp in range(2):
+        modes[comp, comp][grid.interior_mask] = 1.0
+        modes[comp] /= math.sqrt(directional_derivative(grid, modes[comp], modes[comp]))
+    calls = []
+
+    def rank_two(grid_, states_, d):
+        calls.append(1)
+        return sum(lam * directional_derivative(grid, d, m) * m for lam, m in zip((2.0, 0.5), modes))
+
+    monkeypatch.setattr(lw, "gauss_newton_apply", rank_two)
+    with warnings.catch_warnings(), np.errstate(all="raise"), caplog.at_level("INFO", logger=lw.__name__):
+        warnings.simplefilter("error")
+        mu = estimate_step_size(grid, states)
+    # the start direction and the two modes span an invariant space: three steps, exact L
+    assert len(calls) == 3
+    assert mu == pytest.approx(0.9 / 2.0, rel=1e-12)
+    assert "after 3 normal-operator applications" in caplog.text
+
+
+@pytest.mark.parametrize("value", [0.0, math.nan])
+def test_step_size_estimate_failure_raises(bump17_states, monkeypatch, value):
+    import mfeit.landweber as lw
+
+    grid, states = bump17_states
+    monkeypatch.setattr(lw, "gauss_newton_apply", lambda g, s, d: np.full_like(d, value))
+    with pytest.raises(SolverError, match="norm estimate"):
+        estimate_step_size(grid, states)
 
 
 def test_step_fixed_point_at_consistent_background(constant_data):
