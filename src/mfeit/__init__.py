@@ -6,7 +6,6 @@ from .pde import (
     SolverError,
     assemble,
     constant_field,
-    solve_adjoint,
     solve_dirichlet,
     solve_frequencies,
     solve_poisson,
@@ -19,6 +18,7 @@ from .objective import (
     dF,
     gradient_DJ,
     misfit_J,
+    solve_adjoint,
 )
 from .landweber import (
     GenericProblem,

@@ -50,11 +50,11 @@ class AdmissibleParams:
             raise ValueError("bounds must satisfy 0 < c1 < sigma0 < c2")
         if not (self.c1 < self.eps0 < self.c2):
             raise ValueError("bounds must satisfy c1 < eps0 < c2")
-        if self.c4 <= 0.0:
-            raise ValueError("H1 cap c4 must be positive")
+        if not (self.c4 > 0.0 and np.isfinite(self.c4)):
+            raise ValueError("H1 cap c4 must be finite and positive")
         if not (self.delta > 0.0 and self.c1 + self.delta < self.c2 - self.delta):
             raise ValueError("clamp slack delta too large for the bounds")
-        if self.smooth_width <= 0.0 or self.smooth_passes < 0:
+        if not (self.smooth_width > 0.0 and np.isfinite(self.smooth_width)) or self.smooth_passes < 0:
             raise ValueError("invalid smoothing parameters")
 
 

@@ -12,6 +12,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import os
 
 import numpy as np
@@ -154,7 +155,9 @@ def read_dataset(directory: str) -> Dataset:
 
 
 def write_trajectory_csv(path: str, records: list[IterationRecord]) -> None:
+    """One row per record under a header of the ``IterationRecord`` field names, in field order."""
+    names = [f.name for f in dataclasses.fields(IterationRecord)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,J,grad_norm,err_to_truth,proj_dev\n")
+        fh.write(",".join(names) + "\n")
         for r in records:
-            fh.write(",".join(map(format_number, (r.n, r.J, r.grad_norm, r.err_to_truth, r.proj_dev))) + "\n")
+            fh.write(",".join(format_number(getattr(r, name)) for name in names) + "\n")

@@ -42,7 +42,7 @@ def pinv2x2(m: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
     matrix.  A zero matrix, and every matrix once ``tol >= 1``, maps to zero.
     ``gamma_rhs`` applies it to ``A^T`` with ``tol = sqrt(pinv_tol)``.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("pseudo-inverse tolerance must be positive")
     m = np.asarray(m, dtype=complex)
     if tol >= 1.0:

@@ -32,15 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Grid, h1_norm_sq
-from .pde import (
-    EllipticOperator,
-    apply_div_coeff_grad,
-    assemble,
-    map_frequencies,
-    solve_adjoint,
-    solve_dirichlet,
-)
+from .mesh import Grid, face_diff_x, face_diff_y, h1_norm_sq, laplacian
+from .pde import EllipticOperator, apply_div_coeff_grad, assemble, map_frequencies, solve_dirichlet
 
 
 @dataclass
@@ -130,6 +123,35 @@ def residual_norm_sq(grid: Grid, f_res: np.ndarray) -> float:
     return h1_norm_sq(grid, f_res[0]) + h1_norm_sq(grid, f_res[1])
 
 
+def adjoint_rhs(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Right-hand side ``conj(f) - lap5(conj(f))`` of the adjoint problem.
+
+    With the face-difference H1 energy this is, at interior nodes, the exact
+    algebraic adjoint representation of the H1 pairing against a residual f
+    that vanishes on the boundary ring.  ``f`` may stack several residuals
+    on leading axes.
+    """
+    fc = np.conj(f)
+    return fc - laplacian(grid, fc)
+
+
+def solve_adjoint(op: EllipticOperator, f_res: np.ndarray) -> np.ndarray:
+    """Adjoint solve sharing the forward factorization (same complex-symmetric matrix).
+
+    ``f_res`` is the residual pair, shape (2, n, n), and must vanish on the
+    boundary ring.
+    """
+    grid = op.grid
+    bmax = float(np.max(np.abs(grid.trace(f_res))))
+    if bmax > 1e-12:
+        raise ValueError(
+            f"residual has boundary magnitude {bmax:.3e}; "
+            "data and reconstruction grids are inconsistent"
+        )
+    zero = np.zeros((len(f_res), len(grid.boundary_index)))
+    return solve_dirichlet(op, zero, adjoint_rhs(grid, f_res))
+
+
 @dataclass
 class ForwardState:
     """Per-frequency operator, state, and residual reused across gradient pieces."""
@@ -176,11 +198,10 @@ def face_density(grid: Grid, u: np.ndarray, p: np.ndarray) -> np.ndarray:
     exact discrete counterpart of the gradient contraction of state and
     adjoint gradients.
     """
-    h = grid.h
     out = np.zeros(grid.shape, dtype=complex)
     for uc, pc in zip(u, p):
-        sx = ((uc[1:, :] - uc[:-1, :]) / h) * ((pc[1:, :] - pc[:-1, :]) / h)
-        sy = ((uc[:, 1:] - uc[:, :-1]) / h) * ((pc[:, 1:] - pc[:, :-1]) / h)
+        sx = face_diff_x(grid, uc) * face_diff_x(grid, pc)
+        sy = face_diff_y(grid, uc) * face_diff_y(grid, pc)
         out[:-1, :] += 0.5 * sx
         out[1:, :] += 0.5 * sx
         out[:, :-1] += 0.5 * sy

@@ -46,7 +46,9 @@ solves, and an N-iteration ``reconstruct`` 9 N + 1 factorizations.
 
 ``solve_poisson``, the unit-coefficient problem of the initial guess,
 makes none: the discrete sine transform diagonalizes its interior block,
-so ``init-guess`` factors nothing.
+so ``init-guess`` factors nothing.  The transform sits in the operator's
+factor slot, and the solve runs through ``solve_dirichlet``'s gate and
+refinement like every other.
 
 A pair of quantities is a plain array with the component on the leading
 axis.  The admittivity field is one of shape (2, n, n), sigma then eps,
@@ -83,7 +85,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import zgemm
 
-from .mesh import Grid, laplacian
+from .mesh import Grid
 
 #: Relative residual accepted from a linear solve.
 SOLVE_RTOL = 1e-10
@@ -345,6 +347,14 @@ def assemble(grid: Grid, x: np.ndarray, omega: float) -> EllipticOperator:
     return EllipticOperator(grid, omega, block, coupling, norm)
 
 
+def _face_means(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Face coefficients between node (i, j) and its +x / +y neighbors, shapes (n-1, n) and (n, n-1).
+
+    Each is the arithmetic mean of the two adjacent nodal values.
+    """
+    return 0.5 * (coeff[:-1, :] + coeff[1:, :]), 0.5 * (coeff[:, :-1] + coeff[:, 1:])
+
+
 def _gather(grid: Grid, coeff: np.ndarray) -> tuple[np.ndarray, sp.csc_matrix, sp.csr_matrix]:
     """Value table, interior block and boundary coupling of ``div(coeff grad(.))``.
 
@@ -353,10 +363,7 @@ def _gather(grid: Grid, coeff: np.ndarray) -> tuple[np.ndarray, sp.csc_matrix, s
     """
     pat = operator_pattern(grid.n)
     h2 = grid.h * grid.h
-
-    # Face coefficients between node (i,j) and its +x / +y neighbors.
-    cfx = 0.5 * (coeff[:-1, :] + coeff[1:, :])  # (n-1, n)
-    cfy = 0.5 * (coeff[:, :-1] + coeff[:, 1:])  # (n, n-1)
+    cfx, cfy = _face_means(coeff)
     e = np.concatenate((cfx.reshape(-1), cfy.reshape(-1)))[pat.face] / h2
 
     m = pat.inner.size
@@ -385,8 +392,7 @@ def apply_div_coeff_grad(grid: Grid, coeff: np.ndarray, f: np.ndarray) -> np.nda
     forward map rely on that exact agreement.
     """
     h2 = grid.h * grid.h
-    cfx = 0.5 * (coeff[:-1, :] + coeff[1:, :])
-    cfy = 0.5 * (coeff[:, :-1] + coeff[:, 1:])
+    cfx, cfy = _face_means(coeff)
     flux_x = cfx * (f[..., 1:, :] - f[..., :-1, :])  # (..., n-1, n)
     flux_y = cfy * (f[..., :, 1:] - f[..., :, :-1])  # (..., n, n-1)
     out = np.zeros(f.shape, dtype=np.result_type(coeff, f))
@@ -406,17 +412,6 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     """
     v = np.ascontiguousarray(a).view(float)
     return np.sqrt(np.einsum("ij,ij->i", v, v))
-
-
-def _subtract_coupling(op: EllipticOperator, c: np.ndarray, bc_rows: np.ndarray) -> None:
-    """``c[k] -= A_IB bc_rows[k]`` in place, for each row k.
-
-    The sparse products here and in ``_backward_error`` go column by
-    column: each column is contiguous, so scipy neither copies nor reorders
-    it, and the result equals the multi-column product bit for bit.
-    """
-    for ck, bck in zip(c, bc_rows):
-        ck -= op.coupling @ bck
 
 
 def _backward_error(op: EllipticOperator, c, x, r, norm_bc, norm_b) -> float:
@@ -472,7 +467,11 @@ def _interior_rhs(op: EllipticOperator, bc, src) -> tuple:
     # overflow of finite ones: only then are the entries themselves checked.
     if not np.all(np.isfinite(norm_b)) and not (np.all(np.isfinite(b)) and np.all(np.isfinite(bc))):
         raise ValueError("non-finite right-hand side")
-    _subtract_coupling(op, b, bc_rows)
+    # The sparse products here and in ``_backward_error`` go column by column:
+    # each column is contiguous, so scipy neither copies nor reorders it, and
+    # the result equals the multi-column product bit for bit.
+    for bk, bck in zip(b, bc_rows):
+        bk -= op.coupling @ bck
     return bc, b, norm_bc, norm_b
 
 
@@ -643,9 +642,8 @@ def _shifted_sweep(grid: Grid, x: np.ndarray, omegas: list, bc: np.ndarray, fini
             for j, (k, _) in enumerate(ready):
                 xk = xs[j * m:(j + 1) * m]
                 op = assemble(grid, x, omegas[k])
-                ck = np.zeros_like(xk)
-                _subtract_coupling(op, ck, bc)
-                if _backward_error(op, ck, xk, np.empty_like(ck), norm_bc, norm_bc) <= SWEEP_RTOL:
+                _, ck, _, norm_b = _interior_rhs(op, bc, None)
+                if _backward_error(op, ck, xk, np.empty_like(ck), norm_bc, norm_b) <= SWEEP_RTOL:
                     states[k] = finish(_field(grid, xk, bc))
                     pending.remove(k)
         if not len(new):
@@ -690,61 +688,39 @@ def _orthonormalize(w: np.ndarray, basis: list) -> tuple[list, np.ndarray, np.nd
     return coeffs, np.array(kept).reshape(len(kept), w.shape[1]), tail[:len(kept)]
 
 
-def adjoint_rhs(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Right-hand side ``conj(f) - lap5(conj(f))`` of the adjoint problem.
-
-    With the face-difference H1 energy this is, at interior nodes, the exact
-    algebraic adjoint representation of the H1 pairing against a residual f
-    that vanishes on the boundary ring.  ``f`` may stack several residuals
-    on leading axes.
-    """
-    fc = np.conj(f)
-    return fc - laplacian(grid, fc)
-
-
-def solve_adjoint(op: EllipticOperator, f_res: np.ndarray) -> np.ndarray:
-    """Adjoint solve sharing the forward factorization (same complex-symmetric matrix).
-
-    ``f_res`` is the residual pair, shape (2, n, n), and must vanish on the
-    boundary ring.
-    """
-    grid = op.grid
-    bmax = float(np.max(np.abs(grid.trace(f_res))))
-    if bmax > 1e-12:
-        raise ValueError(
-            f"residual has boundary magnitude {bmax:.3e}; "
-            "data and reconstruction grids are inconsistent"
-        )
-    zero = np.zeros((len(f_res), len(grid.boundary_index)))
-    return solve_dirichlet(op, zero, adjoint_rhs(grid, f_res))
-
-
 def solve_poisson(grid: Grid, rhs: np.ndarray, bc: np.ndarray) -> np.ndarray:
     """Dirichlet Poisson solve: unit coefficient, zero frequency, by sine transform.
 
     Takes one or several columns like ``solve_dirichlet`` and solves the
     same system, that of ``assemble(grid, constant_field(grid, 1, 1), 0)``,
-    under the same contract: every column passes SOLVE_RTOL on the full
-    system or a SolverError is raised, and a non-finite right-hand side
-    raises a ValueError.  No factorization is made.  The interior block is
-    ``d I + e (T x I + I x T)`` with T the path graph's adjacency, so the
-    orthonormal 2-D DST-I ``S`` (``S = S^-1``) diagonalizes it exactly and
-    ``x_I = S (S c / lam)`` with the eigenvalues of ``_poisson_eigenvalues``
-    (the fast Poisson solver of Buzbee, Golub & Nielson, SIAM J. Numer.
-    Anal. 7, 1970), applied to the real and imaginary parts by real FFTs.
-    Nine columns at n=65 take 4-6 ms against 12-19 ms for a factorization
-    and solve, and 14-22 ms against 78-110 ms at n=129 (medians of two
-    rounds, 2-core VM, one thread).
+    through ``solve_dirichlet`` itself: the same SOLVE_RTOL gate, the same
+    refinement sweeps on a miss, the same SolverError and ValueError.  No
+    factorization is made: the operator's factor is a ``_SineSolver``.
     """
     op = assemble(grid, constant_field(grid, 1.0, 1.0), 0.0)
-    bc, c, norm_bc, norm_b = _interior_rhs(op, bc, src=rhs)
-    x = _sine_solve(c, _poisson_eigenvalues(op))
-    residual = _backward_error(op, c, x, np.empty_like(c), norm_bc, norm_b)
-    if not residual <= SOLVE_RTOL:
-        raise SolverError(
-            f"Poisson solve residual {residual:.3e} exceeds tolerance {SOLVE_RTOL:.1e}", residual=residual
-        )
-    return _field(grid, x, bc)
+    op._lu.append(_SineSolver(_poisson_eigenvalues(op)))
+    return solve_dirichlet(op, bc, rhs)
+
+
+class _SineSolver:
+    """Inverse of a constant operator's interior block, with SuperLU's ``solve``.
+
+    The block is ``d I + e (T x I + I x T)`` with T the path graph's
+    adjacency, so the orthonormal 2-D DST-I ``S`` (``S = S^-1``)
+    diagonalizes it exactly and ``x_I = S (S c / lam)`` with the
+    eigenvalues ``eig`` of ``_poisson_eigenvalues`` (the fast Poisson solver
+    of Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), applied to
+    the real and imaginary parts by real FFTs.  ``solve`` takes the (ni, k)
+    columns that SuperLU takes.  Nine columns at n=65 take 4-6 ms against
+    12-19 ms for a factorization and solve, and 14-22 ms against 78-110 ms
+    at n=129 (medians of two rounds, 2-core VM, one thread).
+    """
+
+    def __init__(self, eig: np.ndarray):
+        self.eig = eig
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return _sine_solve(b.T, self.eig).T
 
 
 def _poisson_eigenvalues(op: EllipticOperator) -> np.ndarray:

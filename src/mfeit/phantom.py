@@ -65,13 +65,15 @@ def make_phantom(spec: PhantomSpec, grid: Grid, params: AdmissibleParams) -> Pha
     """Evaluate the phantom on the grid nodes and validate admissibility.
 
     The inclusions are added to the background of ``params``.  Inclusions
-    with a nonpositive or non-finite radius, whose support reaches outside
-    the interior region, or whose amplitudes push the fields past the
-    pointwise bounds, are rejected with a ValueError.
+    with a non-finite center, a nonpositive or non-finite radius, a support
+    that reaches outside the interior region, or amplitudes that push the
+    fields past the pointwise bounds, are rejected with a ValueError.
     """
     sigma = np.full(grid.shape, float(params.sigma0))
     eps = np.full(grid.shape, float(params.eps0))
     for inc in spec.inclusions:
+        if not (math.isfinite(inc.cx) and math.isfinite(inc.cy)):
+            raise ValueError(f"inclusion at ({inc.cx}, {inc.cy}) has a non-finite center")
         if not (math.isfinite(inc.radius) and inc.radius > 0.0):
             raise ValueError(f"inclusion at ({inc.cx}, {inc.cy}) has radius {inc.radius}, not a positive number")
         margin = min(inc.cx, 1.0 - inc.cx, inc.cy, 1.0 - inc.cy) - inc.radius

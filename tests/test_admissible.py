@@ -35,6 +35,15 @@ def test_params_invariants_enforced():
         AdmissibleParams(delta=20.0)
 
 
+@pytest.mark.parametrize("name, value", [("c4", np.nan), ("c4", np.inf), ("smooth_width", np.nan),
+                                         ("smooth_width", np.inf)])
+def test_params_reject_non_finite(name, value):
+    # a NaN c4 would switch the H1 cap off; a NaN smooth_width makes
+    # project_T return NaN fields
+    with pytest.raises(ValueError, match=name.split("_")[0]):
+        AdmissibleParams(**{name: value})
+
+
 def test_background_is_member(grid, params):
     report = is_member(grid, constant_field(grid, params.sigma0, params.eps0), params)
     assert report.in_set

@@ -12,7 +12,15 @@ from mfeit import RunConfig, PhantomSpec, Inclusion
 from mfeit.admissible import AdmissibleParams
 from mfeit.cli import main
 from mfeit.config import _SCHEMA, ConfigError, parse_config, parse_config_text, serialize_config
-from mfeit.fieldio import read_dataset, read_field, write_dataset, write_field, write_field_csv
+from mfeit.fieldio import (
+    read_dataset,
+    read_field,
+    write_dataset,
+    write_field,
+    write_field_csv,
+    write_trajectory_csv,
+)
+from mfeit.landweber import IterationRecord
 from mfeit.mesh import build_grid, l2_norm_sq
 from mfeit import pde
 from mfeit.pde import blas_thread_controls, map_frequencies
@@ -50,6 +58,13 @@ class TestMakePhantom:
         g = build_grid(17, 0.2)
         with pytest.raises(ValueError, match="radius"):
             make_phantom(PhantomSpec(inclusions=[Inclusion(0.5, 0.5, radius, 0.5, 0.2)]), g, AdmissibleParams())
+
+    @pytest.mark.parametrize("cx, cy", [(float("nan"), 0.5), (0.5, float("nan")), (float("inf"), 0.5)])
+    def test_rejects_non_finite_center(self, cx, cy):
+        # a NaN center would give the plain background while phantom_id still names the bump
+        g = build_grid(17, 0.2)
+        with pytest.raises(ValueError, match="center"):
+            make_phantom(PhantomSpec(inclusions=[Inclusion(cx, cy, 0.1, 0.5, 0.2)]), g, AdmissibleParams())
 
 
 class TestPhantomId:
@@ -206,6 +221,14 @@ class TestFieldIO:
         write_field_csv(str(tmp_path / "new.csv"), f, g)
         write_field_csv_per_node(str(tmp_path / "ref.csv"), f, g)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_trajectory_columns_are_the_record_fields(self, tmp_path):
+        records = [IterationRecord(1, 0.5, 1e-300, 0.1, 0.0), IterationRecord(2, 0.25, 3.0, np.float64(0.05), -0.0)]
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(str(path), records)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0].split(",") == [f.name for f in dataclasses.fields(IterationRecord)]
+        assert lines[1:] == ["1,0.5,1e-300,0.1,0.0", "2,0.25,3.0,0.05,-0.0"]
 
 
 

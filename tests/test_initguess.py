@@ -58,6 +58,12 @@ class TestPinv:
         with pytest.raises(ValueError):
             pinv2x2(np.eye(2), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [-1e-8, float("nan")])
+    def test_rejects_negative_or_nan_tol(self, tol):
+        # NaN passes a "tol <= 0" check and would treat every matrix as rank one
+        with pytest.raises(ValueError, match="tolerance"):
+            pinv2x2(np.eye(2), tol=tol)
+
     def test_rank_one_stack_matches_numpy(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))

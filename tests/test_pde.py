@@ -4,16 +4,14 @@ import scipy.sparse.linalg as spla
 
 from mfeit import pde
 from mfeit.mesh import build_grid, l2_norm_sq
-from mfeit.objective import random_smooth_pair
+from mfeit.objective import adjoint_rhs, random_smooth_pair, solve_adjoint
 from mfeit.pde import (
     SOLVE_RTOL,
-    adjoint_rhs,
     apply_div_coeff_grad,
     assemble,
     blas_thread_controls,
     constant_field,
     operator_pattern,
-    solve_adjoint,
     solve_dirichlet,
     solve_frequencies,
     solve_poisson,
@@ -269,17 +267,36 @@ def test_solve_poisson_matches_factored_solve(n, m):
 
 
 def test_solve_poisson_keeps_the_solve_contract(grid17, monkeypatch):
+    # eigenvalues off by a factor of 2: each refinement sweep only halves the
+    # error, so the two sweeps cannot reach SOLVE_RTOL
     g = grid17
     bc = g.trace(g.X).astype(complex)
     eigenvalues = pde._poisson_eigenvalues
     with monkeypatch.context() as patch:
-        patch.setattr(pde, "_poisson_eigenvalues", lambda op: eigenvalues(op) * (1.0 + 1e-6))
+        patch.setattr(pde, "_poisson_eigenvalues", lambda op: eigenvalues(op) * 2.0)
         with pytest.raises(pde.SolverError, match="exceeds tolerance"):
             solve_poisson(g, np.zeros(g.shape), bc)
     src = np.zeros(g.shape, dtype=complex)
     src[8, 8] = np.nan
     with pytest.raises(ValueError, match="non-finite right-hand side"):
         solve_poisson(g, src, bc)
+
+
+def test_solve_poisson_refines_a_missed_solve(grid17, monkeypatch):
+    # eigenvalues off by 1e-6 miss the gate on the first solve; one
+    # refinement sweep of solve_dirichlet repairs it
+    g = grid17
+    bc = g.trace(g.X).astype(complex)
+    src = np.full(g.shape, 4.0 + 1j)
+    eigenvalues = pde._poisson_eigenvalues
+    monkeypatch.setattr(pde, "_poisson_eigenvalues", lambda op: eigenvalues(op) * (1.0 + 1e-6))
+    solves = []
+    solve = pde._SineSolver.solve
+    monkeypatch.setattr(pde._SineSolver, "solve", lambda self, b: solves.append(b.shape) or solve(self, b))
+    u = solve_poisson(g, src, bc)
+    assert len(solves) == 2
+    a = constant_field(g, 1.0, 1.0)
+    assert _full_backward_error(g, a, 0.0, u[None], bc[None], src[None]) <= SOLVE_RTOL
 
 
 def test_superposition_in_bc_and_src(grid17):
