@@ -5,7 +5,9 @@ supported in the interior region, bounded pointwise, and capped in discrete
 H1 norm.  The exact metric projection onto that set is not available in
 closed form; ``project_T`` composes cheap monotone steps (smooth cutoff,
 averaging smoother, clamp, norm rescale) whose output is guaranteed to be a
-member of the set.
+member of the set.  Their numerics are the module constants
+``CUTOFF_WIDTH``, ``SMOOTH_PASSES``, ``SMOOTH_WEIGHT`` and ``CLAMP_SLACK``;
+``AdmissibleParams`` holds only the set itself.
 """
 
 from __future__ import annotations
@@ -19,8 +21,17 @@ from .mesh import Grid, h1_norm_sq
 
 logger = logging.getLogger(__name__)
 
+#: Width of the cutoff's transition, in grid spacings.
+CUTOFF_WIDTH = 2.0
+
+#: Averaging-smoother sweeps per projection.
+SMOOTH_PASSES = 2
+
 #: Blending weight of one averaging pass (0 = identity, 1 = full 4-neighbor mean).
 SMOOTH_WEIGHT = 0.05
+
+#: Slack kept between clamped values and the open bounds ``c1``, ``c2``.
+CLAMP_SLACK = 1e-3
 
 #: Perturbations are clipped to this magnitude before smoothing, so that the
 #: sum of four neighbors cannot overflow.
@@ -29,11 +40,10 @@ MAX_PERTURBATION = np.finfo(float).max / 8
 
 @dataclass
 class AdmissibleParams:
-    """Background constants and constraint parameters.
-
-    ``smooth_width`` is the cutoff transition width in units of the grid
-    spacing; ``smooth_passes`` the number of averaging-smoother sweeps;
-    ``delta`` the slack kept between clamped values and the open bounds.
+    """The constraint set: backgrounds ``sigma0``, ``eps0``, open pointwise
+    bounds ``c1 < c2`` and the H1 cap ``c4``, all finite.  The projection's
+    numerics are module constants (``CLAMP_SLACK``, ``CUTOFF_WIDTH``,
+    ``SMOOTH_PASSES``, ``SMOOTH_WEIGHT``), not fields.
     """
 
     sigma0: float = 1.0
@@ -41,21 +51,19 @@ class AdmissibleParams:
     c1: float = 0.1
     c2: float = 10.0
     c4: float = 10.0
-    delta: float = 1e-3
-    smooth_width: float = 2.0
-    smooth_passes: int = 2
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (0.0 < self.c1 < self.sigma0 < self.c2):
             raise ValueError("bounds must satisfy 0 < c1 < sigma0 < c2")
         if not (self.c1 < self.eps0 < self.c2):
             raise ValueError("bounds must satisfy c1 < eps0 < c2")
-        if not (self.c4 > 0.0 and np.isfinite(self.c4)):
-            raise ValueError("H1 cap c4 must be finite and positive")
-        if not (self.delta > 0.0 and self.c1 + self.delta < self.c2 - self.delta):
-            raise ValueError("clamp slack delta too large for the bounds")
-        if not (self.smooth_width > 0.0 and np.isfinite(self.smooth_width)) or self.smooth_passes < 0:
-            raise ValueError("invalid smoothing parameters")
+        if not self.c4 > 0.0:
+            raise ValueError("H1 cap c4 must be positive")
+        if not self.c1 + CLAMP_SLACK < self.c2 - CLAMP_SLACK:
+            raise ValueError(f"bounds c1, c2 leave no room for the clamp slack {CLAMP_SLACK}")
 
 
 @dataclass
@@ -104,10 +112,9 @@ def is_member(grid: Grid, x: np.ndarray, p: AdmissibleParams) -> MembershipRepor
     return MembershipReport(in_set=not violations, violations=violations)
 
 
-def _smooth_cutoff(grid: Grid, width_cells: float) -> np.ndarray:
+def _smooth_cutoff(grid: Grid) -> np.ndarray:
     """C1 ramp from 0 on/outside the interior margin to 1 inside it."""
-    w = max(width_cells * grid.h, 1e-12)
-    t = np.clip((grid.boundary_distance() - grid.c0) / w, 0.0, 1.0)
+    t = np.clip((grid.boundary_distance() - grid.c0) / (CUTOFF_WIDTH * grid.h), 0.0, 1.0)
     return t * t * (3.0 - 2.0 * t)
 
 
@@ -121,7 +128,7 @@ def _smooth_pass(eta: np.ndarray) -> np.ndarray:
 
 def clamp_perturbation(eta: np.ndarray, p: AdmissibleParams, background: float) -> np.ndarray:
     """Clamp a perturbation into the slack-shrunk pointwise bounds."""
-    return np.clip(eta, p.c1 - background + p.delta, p.c2 - background - p.delta)
+    return np.clip(eta, p.c1 - background + CLAMP_SLACK, p.c2 - background - CLAMP_SLACK)
 
 
 def project_T(grid: Grid, x: np.ndarray, p: AdmissibleParams) -> np.ndarray:
@@ -134,7 +141,7 @@ def project_T(grid: Grid, x: np.ndarray, p: AdmissibleParams) -> np.ndarray:
     values are replaced by the background (and logged) so that a failed
     solve cannot silently poison the iteration state.
     """
-    chi = _smooth_cutoff(grid, p.smooth_width)
+    chi = _smooth_cutoff(grid)
 
     out = []
     for values, bg in zip(x, (p.sigma0, p.eps0)):
@@ -144,7 +151,7 @@ def project_T(grid: Grid, x: np.ndarray, p: AdmissibleParams) -> np.ndarray:
             logger.warning("projection replaced %d non-finite nodes by background", int(bad.sum()))
             eta = np.where(bad, 0.0, eta)
         eta = np.clip(eta, -MAX_PERTURBATION, MAX_PERTURBATION) * chi
-        for _ in range(p.smooth_passes):
+        for _ in range(SMOOTH_PASSES):
             eta = _smooth_pass(eta)
         eta[~grid.interior_mask] = 0.0
         eta = clamp_perturbation(eta, p, bg)

@@ -91,10 +91,7 @@ class RunConfig:
 #: list: one bump per line) have their own syntax.
 _SCHEMA = {
     "grid": {"n": "n", "c0": "c0"},
-    "admissible": {
-        key: f"admissible.{key}"
-        for key in ("sigma0", "eps0", "c1", "c2", "c4", "delta", "smooth_width", "smooth_passes")
-    },
+    "admissible": {key: f"admissible.{key}" for key in ("sigma0", "eps0", "c1", "c2", "c4")},
     "frequencies": {"omega_lo": "omega_lo", "omega_hi": "omega_hi", "count": "n_freq"},
     "phantom": {"inclusions": "phantom.inclusions"},
     "landweber": {key: key for key in ("mu", "max_iters", "stop_tol", "x0", "lambda_min")},

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -63,7 +64,7 @@ class LandweberConfig:
     with a 0.9 safety factor).  ``stop_tol`` bounds the relative misfit
     decrease over a 10-iteration window below which the run stops; zero
     disables that rule and the loop runs the full ``max_iters``.  ``mu`` and
-    ``stop_tol`` must be finite.
+    ``stop_tol`` must be finite, and ``max_iters`` a positive integer.
     """
 
     admissible: AdmissibleParams = field(default_factory=AdmissibleParams)
@@ -78,8 +79,8 @@ class LandweberConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.mu is not None and self.mu <= 0.0:
             raise ValueError("step size mu must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
         if self.stop_tol < 0.0:
             raise ValueError("stop_tol must be nonnegative")
 

@@ -142,8 +142,8 @@ def add_noise(data: Dataset, level: float, seed: int) -> Dataset:
     draw scales linearly with the level under a fixed seed.  Boundary nodes
     stay exact.
     """
-    if level < 0.0:
-        raise ValueError("noise level must be nonnegative")
+    if not (level >= 0.0 and math.isfinite(level)):
+        raise ValueError(f"noise level must be finite and nonnegative, got {level!r}")
     grid = data.grid
     rng = np.random.default_rng(seed)
     mask = ~grid.boundary_mask

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mfeit.admissible import (
+    CLAMP_SLACK,
     AdmissibleParams,
     clamp_perturbation,
     is_member,
@@ -31,16 +32,16 @@ def test_params_invariants_enforced():
         AdmissibleParams(c1=2.0)  # c1 > sigma0
     with pytest.raises(ValueError):
         AdmissibleParams(c4=-1.0)
-    with pytest.raises(ValueError):
-        AdmissibleParams(delta=20.0)
+    with pytest.raises(ValueError, match="clamp slack"):
+        # ordered bounds, but too close to keep CLAMP_SLACK inside both
+        AdmissibleParams(c1=0.5, sigma0=0.5005, eps0=0.5005, c2=0.501)
 
 
-@pytest.mark.parametrize("name, value", [("c4", np.nan), ("c4", np.inf), ("smooth_width", np.nan),
-                                         ("smooth_width", np.inf)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["sigma0", "eps0", "c1", "c2", "c4"])
 def test_params_reject_non_finite(name, value):
-    # a NaN c4 would switch the H1 cap off; a NaN smooth_width makes
-    # project_T return NaN fields
-    with pytest.raises(ValueError, match=name.split("_")[0]):
+    # a NaN c4 would switch the H1 cap off; an infinite c2 the upper bound
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
         AdmissibleParams(**{name: value})
 
 
@@ -94,7 +95,7 @@ def test_project_clamps_plateau(grid, params):
     plateau = (np.abs(grid.X - 0.5) < 0.1) & (np.abs(grid.Y - 0.5) < 0.1)
     a[0][plateau] = params.c2 + 1.0
     out = project_T(grid, a, params)
-    assert np.max(out[0][plateau]) <= params.c2 - params.delta + 1e-12
+    assert np.max(out[0][plateau]) <= params.c2 - CLAMP_SLACK + 1e-12
 
 
 def test_project_output_always_member(grid, params):
@@ -189,8 +190,8 @@ def test_near_idempotence_regression():
 
 
 def test_clamp_nonexpansive_against_in_bound_fields(grid, params):
-    lo = params.c1 - params.sigma0 + params.delta
-    hi = params.c2 - params.sigma0 - params.delta
+    lo = params.c1 - params.sigma0 + CLAMP_SLACK
+    hi = params.c2 - params.sigma0 - CLAMP_SLACK
     rng = np.random.default_rng(7)
     for _ in range(100):
         x = 6.0 * rng.standard_normal(grid.shape)

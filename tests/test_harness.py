@@ -156,6 +156,12 @@ class TestNoise:
                 ratios.append(noise_rms / signal_rms)
         assert all(0.9 * level <= r <= 1.1 * level for r in ratios)
 
+    @pytest.mark.parametrize("level", [-0.01, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_level(self, clean, level):
+        # a NaN level returned the clean data labelled nan; an infinite one non-finite data
+        with pytest.raises(ValueError, match="noise level"):
+            add_noise(clean, level, 7)
+
 
 class TestFieldIO:
     def test_complex_field_roundtrip(self, tmp_path):
@@ -331,8 +337,7 @@ def _run_configs(draw):
     c2 = draw(_finite(5.0, 20.0))
     admissible = AdmissibleParams(
         sigma0=draw(_finite(1.0, 4.0)), eps0=draw(_finite(1.0, 4.0)), c1=c1, c2=c2,
-        c4=draw(_finite(0.5, 50.0)), delta=draw(_finite(1e-6, 1e-2)),
-        smooth_width=draw(_finite(0.5, 4.0)), smooth_passes=draw(st.integers(0, 5)),
+        c4=draw(_finite(0.5, 50.0)),
     )
     inclusion = st.builds(Inclusion, _finite(), _finite(), _finite(1e-3, 0.5), _finite(), _finite())
     omega_lo = draw(_finite(0.1, 2.0))
@@ -404,6 +409,9 @@ class TestConfig:
             ("[phantom]\neps0 = 1.0\n", "unknown key 'eps0' in section [phantom]"),
             ("[landweber]\nallow_low_coverage = true\n", "unknown key 'allow_low_coverage' in section [landweber]"),
             ("[landweber]\nlog_every = 10\n", "unknown key 'log_every' in section [landweber]"),
+            ("[admissible]\ndelta = 0.001\n", "unknown key 'delta' in section [admissible]"),
+            ("[admissible]\nsmooth_width = 2.0\n", "unknown key 'smooth_width' in section [admissible]"),
+            ("[admissible]\nsmooth_passes = 2\n", "unknown key 'smooth_passes' in section [admissible]"),
             ("[boundary]\nphi = coords\n", "unknown section [boundary]"),
         ],
     )
@@ -721,6 +729,18 @@ class TestCli:
         bad.write_text("[grid]\nn = banana\n")
         assert main(["coverage", "--config", str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_unusable_paths_exit_2_naming_the_path(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(serialize_config(RunConfig(n=17)))
+        for argv, path in (
+            (["coverage", "--config", str(cfg), "--out", str(afile)], afile),  # an existing file as --out
+            (["coverage", "--config", str(tmp_path)], tmp_path),  # a directory as --config
+        ):
+            assert main(argv) == 2
+            assert str(path) in capsys.readouterr().err
 
     def test_pinv_tol_of_one_exits_2(self, tmp_path, capsys):
         # a cutoff of 1 zeroes every pseudo-inverse, so the guess would silently be the background

@@ -92,6 +92,13 @@ def test_config_rejects_non_finite(field, value):
         LandweberConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [2.5, math.nan, "3"])
+def test_config_rejects_non_integer_max_iters(value):
+    # a float count passed construction and failed later in range()
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        LandweberConfig(max_iters=value)
+
+
 def test_step_size_estimate_between_power_and_largest_eigenvalue(bump17_states):
     grid, states = bump17_states
     # the normal operator as a dense matrix on the interior nodes of both components
