@@ -37,7 +37,7 @@ from .properbc import canonical_phi, coverage_lambda
 
 def _synthesize(cfg: RunConfig) -> Dataset:
     """The config phantom's dataset, with the configured noise added."""
-    data = synthesize_data(cfg.phantom, cfg)
+    data = synthesize_data(cfg)
     if cfg.noise_level > 0.0:
         data = add_noise(data, cfg.noise_level, cfg.noise_seed)
     return data
@@ -72,7 +72,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 def cmd_init_guess(cfg: RunConfig, args) -> int:
     data = _load_or_synthesize(cfg, args.data)
-    guess = initial_guess(data, cfg.admissible, tol=cfg.pinv_tol)
+    guess = initial_guess(data, cfg.admissible)
     out = _outdir(cfg, args)
     fieldio.write_field(os.path.join(out, "sigma_init"), guess[0], data.grid)
     fieldio.write_field(os.path.join(out, "eps_init"), guess[1], data.grid)
@@ -92,7 +92,7 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
     data = _load_or_synthesize(cfg, args.data)
     grid = data.grid
     if cfg.x0 == "initguess":
-        x0 = initial_guess(data, cfg.admissible, tol=cfg.pinv_tol)
+        x0 = initial_guess(data, cfg.admissible)
     else:
         x0 = project_T(grid, constant_field(grid, cfg.admissible.sigma0, cfg.admissible.eps0), cfg.admissible)
 

@@ -16,7 +16,6 @@ from operator import attrgetter
 
 from .admissible import AdmissibleParams
 from .fieldio import format_number
-from .initguess import DEFAULT_PINV_TOL
 from .landweber import LandweberConfig
 from .mesh import Grid, build_grid
 from .objective import FrequencyGrid
@@ -42,7 +41,6 @@ class RunConfig:
     stop_tol: float = LandweberConfig.stop_tol
     x0: str = "initguess"
     lambda_min: float = DEFAULT_LAMBDA_MIN
-    pinv_tol: float = DEFAULT_PINV_TOL
     noise_level: float = 0.0
     noise_seed: int = 1234
     refinement: int = 2
@@ -71,9 +69,6 @@ class RunConfig:
             raise ConfigError("[noise] level must be nonnegative")
         if self.noise_seed < 0:
             raise ConfigError(f"[noise] seed must be nonnegative, got {self.noise_seed}")
-        if not 0.0 < self.pinv_tol < 1.0:
-            # a cutoff of 1 or more zeroes every pseudo-inverse: the guess would be the background
-            raise ConfigError(f"[initguess] pinv_tol must lie in (0, 1), got {self.pinv_tol!r}")
         if self.n_freq < 1:
             raise ConfigError("[frequencies] count must be at least 1")
         try:
@@ -95,7 +90,6 @@ _SCHEMA = {
     "frequencies": {"omega_lo": "omega_lo", "omega_hi": "omega_hi", "count": "n_freq"},
     "phantom": {"inclusions": "phantom.inclusions"},
     "landweber": {key: key for key in ("mu", "max_iters", "stop_tol", "x0", "lambda_min")},
-    "initguess": {"pinv_tol": "pinv_tol"},
     "noise": {"level": "noise_level", "seed": "noise_seed"},
     "data": {"refinement": "refinement"},
     "output": {"dir": "output_dir"},

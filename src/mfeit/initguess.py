@@ -4,12 +4,14 @@ For each measured frequency the log-admittivity satisfies a Poisson
 equation whose right-hand side is computable from the measured potential
 pair: with A its 2x2 gradient matrix and s the row-wise divergence of A,
 the right-hand side is the divergence of ``w = -pinv(A^T) s``.  The
-pseudo-inverse drops singular values of A at or below ``sqrt(pinv_tol)``
-times the largest, which is the cutoff ``pinv_tol`` on the singular values
-of ``conj(A) A^T``.  Exponentials of the per-frequency solutions are
-averaged over the band; the real part is the conductivity guess and the
-imaginary part, divided by the band midpoint, the permittivity guess.  The
-result is projected into the admissible set before use.
+pseudo-inverse drops singular values of A at or below ``sqrt(PINV_TOL)``
+times the largest, which is the cutoff ``PINV_TOL`` on the singular values
+of ``conj(A) A^T``.  The coverage gate keeps A away from singular, so the
+cutoff is a constant, not a setting.  Exponentials of the per-frequency
+solutions are averaged over the band; the real part is the conductivity
+guess and the imaginary part, divided by the band midpoint, the
+permittivity guess.  The result is projected into the admissible set
+before use.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from .pde import map_frequencies, solve_poisson
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_PINV_TOL = 1e-8
+#: Cutoff on the singular values of ``conj(A) A^T`` in the pseudo-inverse of ``gamma_rhs``.
+PINV_TOL = 1e-8
 
 
-def pinv2x2(m: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
+def pinv2x2(m: np.ndarray, tol: float = PINV_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of (stacked) complex 2x2 matrices, in closed form.
 
     Singular values at or below ``tol`` times the largest one of each matrix
@@ -40,7 +43,7 @@ def pinv2x2(m: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
     and inverts to ``adj(m) / det m``.  A rank-one matrix inverts to
     ``v (m v)^H / (s1**2 |v|**2)``, with ``v`` a top eigenvector of the Gram
     matrix.  A zero matrix, and every matrix once ``tol >= 1``, maps to zero.
-    ``gamma_rhs`` applies it to ``A^T`` with ``tol = sqrt(pinv_tol)``.
+    ``gamma_rhs`` applies it to ``A^T`` with ``tol = sqrt(PINV_TOL)``.
     """
     if not tol > 0.0:
         raise ValueError("pseudo-inverse tolerance must be positive")
@@ -73,22 +76,22 @@ def pinv2x2(m: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
     return (np.where(full[..., None], adj, outer) * inv[..., None]).reshape(m.shape)
 
 
-def gamma_rhs(grid: Grid, u: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
+def gamma_rhs(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Right-hand side of the log-admittivity Poisson equation.
 
     Per node: A has rows grad(u[0]), grad(u[1]) of the measured pair u,
     shape (2, n, n); s is the row-wise divergence of A; the nodal vector
     is ``w = -pinv(A^T) s`` and the field value is the divergence of that
     vector field.  ``pinv(A^T) = (conj(A) A^T)^+ conj(A)``, and the cutoff
-    ``sqrt(tol)`` on the singular values of ``A^T`` is the cutoff ``tol`` on
-    those of ``conj(A) A^T``; forming that product would square the
-    condition number.
+    ``sqrt(PINV_TOL)`` on the singular values of ``A^T`` is the cutoff
+    ``PINV_TOL`` on those of ``conj(A) A^T``; forming that product would
+    square the condition number.
     """
     g1 = grad(grid, u[0])
     g2 = grad(grid, u[1])
     at = np.stack([g1, g2], axis=-1)  # (n, n, col, row): A^T
     s = np.stack([div(grid, g1), div(grid, g2)], axis=-1)
-    w = -np.sum(pinv2x2(at, np.sqrt(tol)) * s[..., None, :], axis=-1)
+    w = -np.sum(pinv2x2(at, np.sqrt(PINV_TOL)) * s[..., None, :], axis=-1)
     return div(grid, w)
 
 
@@ -126,11 +129,11 @@ class GammaField:
     fold_violations: list[int]
 
 
-def compute_gammas(data: Dataset, sigma0: float, eps0: float, tol: float = DEFAULT_PINV_TOL) -> GammaField:
+def compute_gammas(data: Dataset, sigma0: float, eps0: float) -> GammaField:
     """Log-admittivity at every frequency: one Poisson factorization, one column per frequency."""
     grid = data.grid
     omegas = [float(w) for w in data.freqs.nodes]
-    rhs = map_frequencies(lambda u: gamma_rhs(grid, u, tol), data.potentials)
+    rhs = map_frequencies(lambda u: gamma_rhs(grid, u), data.potentials)
     bc = np.stack([_log_bc(grid, w, sigma0, eps0) for w in omegas])
     solved = solve_poisson(grid, np.stack(rhs), bc)
     gammas, violations = [], []
@@ -156,8 +159,8 @@ def extract_sigma_eps(m: np.ndarray, omega_mid: float) -> tuple[np.ndarray, np.n
     return m.real.copy(), m.imag / omega_mid
 
 
-def initial_guess(data: Dataset, params: AdmissibleParams, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
+def initial_guess(data: Dataset, params: AdmissibleParams) -> np.ndarray:
     """Construct and project the initial admittivity guess, shape (2, n, n), from a dataset."""
-    gf = compute_gammas(data, params.sigma0, params.eps0, tol)
+    gf = compute_gammas(data, params.sigma0, params.eps0)
     sigma, eps = extract_sigma_eps(average_exp_gamma(data, gf), data.freqs.omega_mid)
     return project_T(data.grid, np.stack((sigma, eps)), params)

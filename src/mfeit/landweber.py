@@ -8,7 +8,7 @@ raw iterates may transiently leave the admissible set.  The deviation
 introduced by the projection is recorded at every step.
 
 The loop sees only a ``GenericProblem`` (residual evaluation, adjoint
-direction, projection, inner product and residual norm).  ``run`` is the
+direction, misfit, projection and inner product).  ``run`` is the
 reconstruction entry point: it resolves the automatic step size and runs
 the loop on ``admittivity_problem``, the multi-frequency misfit posed on
 admittivity fields, arrays of shape (2, n, n) holding sigma then eps.  The
@@ -35,8 +35,8 @@ from .objective import (
     forward_states,
     gauss_newton_apply,
     gradient_from_states,
+    misfit_from_states,
     random_smooth_pair,
-    residual_norm_sq,
 )
 from .pde import SolverError, blas_one_thread
 
@@ -142,10 +142,6 @@ def estimate_step_size(grid: Grid, states: list[ForwardState]) -> float:
     return 0.9 / lam
 
 
-def _default_inner(a, b) -> float:
-    return float(np.real(np.vdot(np.asarray(b), np.asarray(a))))
-
-
 @dataclass
 class GenericProblem:
     """Abstract residual problem driven by the projected iteration.
@@ -153,17 +149,16 @@ class GenericProblem:
     ``residuals(x)`` returns one residual per quadrature node,
     ``adjoint_step(residuals)`` the weighted adjoint-direction sum at the
     point the residuals were evaluated at (already including quadrature
-    weights), ``project`` the feasibility map, ``inner_x`` the inner
-    product of iterates used in the diagnostics and ``norm_sq_y(r)`` the
-    squared residual norm of the misfit (by default ``Re<r, r>``).
+    weights), ``misfit(residuals)`` the value of the functional there,
+    ``project`` the feasibility map and ``inner_x`` the inner product of
+    iterates used in the diagnostics.
     """
 
     residuals: Callable[[Any], list[Any]]
     adjoint_step: Callable[[list[Any]], Any]
-    weights: np.ndarray
+    misfit: Callable[[list[Any]], float]
     project: Callable[[Any], Any] = lambda x: x
-    inner_x: Callable[[Any, Any], float] = _default_inner
-    norm_sq_y: Callable[[Any], float] = lambda r: _default_inner(r, r)
+    inner_x: Callable[[Any, Any], float] = lambda a, b: float(np.real(np.vdot(np.asarray(b), np.asarray(a))))
 
 
 def admittivity_problem(data: Dataset, params: AdmissibleParams) -> GenericProblem:
@@ -171,18 +166,16 @@ def admittivity_problem(data: Dataset, params: AdmissibleParams) -> GenericProbl
 
     Iterates are arrays of shape (2, n, n), sigma then eps.  The residuals
     are the per-frequency forward states, so the adjoint direction (the
-    gradient, in the same (2, n, n) layout) reuses their factorizations;
-    their squared norm is the H1 residual norm of the misfit, and
-    ``inner_x`` is the L2 inner product over both components.
+    gradient, in the same (2, n, n) layout) reuses their factorizations,
+    and ``inner_x`` is the L2 inner product over both components.
     """
     grid = data.grid
     return GenericProblem(
         residuals=lambda x: forward_states(x, data),
         adjoint_step=gradient_from_states,
-        weights=data.freqs.weights,
+        misfit=misfit_from_states,
         project=lambda x: project_T(grid, x, params),
         inner_x=lambda a, b: sum(grid.h * grid.h * float(np.sum(u * v)) for u, v in zip(a, b)),
-        norm_sq_y=lambda s: residual_norm_sq(grid, s.f_res),
     )
 
 
@@ -202,7 +195,7 @@ def step(p: GenericProblem, x, mu: float, truth=None, res=None) -> tuple[Any, It
     xp = p.project(x)
     if res is None:
         res = p.residuals(xp)
-    j_val = 0.5 * sum(float(w) * p.norm_sq_y(r) for w, r in zip(p.weights, res))
+    j_val = p.misfit(res)
     direction = p.adjoint_step(res)
     x_next = xp - mu * direction
     err = norm_x(x_next - truth) if truth is not None else float("nan")

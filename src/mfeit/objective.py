@@ -40,9 +40,12 @@ from .pde import EllipticOperator, apply_div_coeff_grad, assemble, map_frequenci
 class FrequencyGrid:
     """Quadrature nodes and weights on the frequency interval.
 
-    Weights are positive and sum to ``omega_hi - omega_lo``; the default
-    constructor ``uniform`` uses the trapezoid rule (a single node gets the
-    full interval length as its weight).
+    The interval satisfies ``0 <= omega_lo < omega_hi``: the initial guess
+    divides by its midpoint and folds the log-admittivity branch for
+    nonnegative frequencies only.  Weights are positive and sum to
+    ``omega_hi - omega_lo``; the default constructor ``uniform`` uses the
+    trapezoid rule (a single node gets the full interval length as its
+    weight).
     """
 
     omega_lo: float
@@ -58,8 +61,8 @@ class FrequencyGrid:
                              ("frequency nodes", self.nodes), ("quadrature weights", self.weights)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be finite")
-        if not self.omega_lo < self.omega_hi:
-            raise ValueError("frequency interval must satisfy omega_lo < omega_hi")
+        if not 0.0 <= self.omega_lo < self.omega_hi:
+            raise ValueError("frequency interval must satisfy 0 <= omega_lo < omega_hi")
         if self.nodes.ndim != 1 or self.nodes.size == 0:
             raise ValueError("frequency grid needs at least one node")
         if self.weights.shape != self.nodes.shape:
@@ -100,8 +103,11 @@ class FrequencyGrid:
 class Dataset:
     """Measured internal potentials, one (2, n, n) pair per frequency node.
 
-    The stored potentials equal the driving boundary traces exactly on the
-    boundary ring, so the traces are recovered from the data itself.
+    One trace pair drives every frequency, and the stored potentials equal
+    it exactly on the boundary ring, so the traces are recovered from the
+    data itself.  Every producer keeps this: ``synthesize_data`` drives all
+    frequencies with one trace, ``add_noise`` leaves the ring exact, and
+    ``read_dataset`` rejects a frequency whose ring differs from frequency 0's.
     """
 
     grid: Grid
@@ -113,9 +119,9 @@ class Dataset:
         if len(self.potentials) != self.freqs.nodes.size:
             raise ValueError("need exactly one potential pair per frequency node")
 
-    def boundary_data(self, k: int = 0) -> np.ndarray:
-        """The driving traces of frequency ``k``, shape (2, nb)."""
-        return self.grid.trace(self.potentials[k])
+    def boundary_data(self) -> np.ndarray:
+        """The driving traces of every frequency, shape (2, nb)."""
+        return self.grid.trace(self.potentials[0])
 
 
 def residual_norm_sq(grid: Grid, f_res: np.ndarray) -> float:
@@ -164,19 +170,26 @@ class ForwardState:
 
 def forward_states(x: np.ndarray, data: Dataset) -> list[ForwardState]:
     """Assemble, factorize, and solve once per frequency node at the field ``x``."""
+    phi = data.boundary_data()
 
     def one(k: int) -> ForwardState:
         omega = float(data.freqs.nodes[k])
         op = assemble(data.grid, x, omega)
-        u = solve_dirichlet(op, data.boundary_data(k))
+        u = solve_dirichlet(op, phi)
         return ForwardState(float(data.freqs.weights[k]), op, u, u - data.potentials[k])
 
     return map_frequencies(one, range(data.freqs.nodes.size))
 
 
+def misfit_from_states(states: list[ForwardState]) -> float:
+    """Frequency-weighted half sum of the squared H1 norms of the states' residuals."""
+    grid = states[0].op.grid
+    return 0.5 * sum(s.weight * residual_norm_sq(grid, s.f_res) for s in states)
+
+
 def misfit_J(x: np.ndarray, data: Dataset) -> float:
-    """Frequency-weighted half sum of squared H1 residual norms at the field ``x``."""
-    return 0.5 * sum(s.weight * residual_norm_sq(data.grid, s.f_res) for s in forward_states(x, data))
+    """The misfit at the field ``x``."""
+    return misfit_from_states(forward_states(x, data))
 
 
 def dF(op: EllipticOperator, d: np.ndarray, u: np.ndarray) -> np.ndarray:

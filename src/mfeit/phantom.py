@@ -93,8 +93,8 @@ def make_phantom(spec: PhantomSpec, grid: Grid, params: AdmissibleParams) -> Pha
     return PhantomField(sigma, eps)
 
 
-def synthesize_data(spec: PhantomSpec, cfg: RunConfig) -> Dataset:
-    """Forward-solve the phantom at every frequency on a refined grid and restrict.
+def synthesize_data(cfg: RunConfig) -> Dataset:
+    """Forward-solve the config phantom at every frequency on a refined grid and restrict.
 
     One ``solve_frequencies`` sweep serves all frequencies; each state is
     restricted as soon as it is accepted.  The returned dataset lives on
@@ -105,13 +105,13 @@ def synthesize_data(spec: PhantomSpec, cfg: RunConfig) -> Dataset:
     coarse = cfg.build_grid()
     factor = cfg.refinement
     fine = refine_grid(coarse, factor)
-    x_fine = np.stack(make_phantom(spec, fine, cfg.admissible))
+    x_fine = np.stack(make_phantom(cfg.phantom, fine, cfg.admissible))
     phi_fine = canonical_phi(fine)
     freqs = cfg.frequency_grid()
     potentials = solve_frequencies(fine, x_fine, freqs.nodes, phi_fine, lambda u: restrict_injection(u, factor))
 
     metadata = {
-        "phantom": phantom_id(spec, cfg.admissible),
+        "phantom": phantom_id(cfg.phantom, cfg.admissible),
         "noise_level": 0.0,
         "noise_seed": cfg.noise_seed,
         "generation_n": fine.n,

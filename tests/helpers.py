@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from mfeit import PhantomSpec, Inclusion
-from mfeit.initguess import DEFAULT_PINV_TOL, _log_bc, _warn_branch, fold_imag, gamma_rhs
+from mfeit.initguess import _log_bc, _warn_branch, fold_imag, gamma_rhs
 from mfeit.landweber import GenericProblem, LandweberConfig, run
 from mfeit.mesh import Grid, face_diff_x, face_diff_y, h1_norm_sq, l2_norm_sq, laplacian
 from mfeit.objective import Dataset, FrequencyGrid, bump_profile, dF, forward_states
@@ -63,8 +63,8 @@ def linear_oracle(seed: int = 321, n_mats: int = 3, dim: int = 5):
     """Dense linear least-squares instance with its normal-equation solution.
 
     Returns (problem, x_star, mu, derivative) with mu = 0.9 / sum of squared
-    spectral norms and ``derivative(x, h)`` the per-node derivatives for
-    ``adjoint_mismatch``; the system is consistent (b = A x_true), so x_star
+    spectral norms and ``derivative(x, h)`` the weighted per-node derivatives
+    for ``adjoint_mismatch``; the system is consistent (b = A x_true), so x_star
     equals the generating point up to round-off.
     """
     rng = np.random.default_rng(seed)
@@ -78,13 +78,13 @@ def linear_oracle(seed: int = 321, n_mats: int = 3, dim: int = 5):
         adjoint_step=lambda res: sum(
             w * (a.T @ r) for w, a, r in zip(weights, mats, res)
         ),
-        weights=weights,
+        misfit=lambda res: 0.5 * sum(float(w) * float(r @ r) for w, r in zip(weights, res)),
     )
     normal = sum(w * a.T @ a for w, a in zip(weights, mats))
     rhs = sum(w * a.T @ b for w, a, b in zip(weights, mats, bs))
     x_star = np.linalg.solve(normal, rhs)
     mu = 0.9 / sum(np.linalg.norm(a, 2) ** 2 for a in mats)
-    return problem, x_star, mu, lambda x, h: [a @ h for a in mats]
+    return problem, x_star, mu, lambda x, h: [w * (a @ h) for w, a in zip(weights, mats)]
 
 
 class CountingLU:
@@ -262,12 +262,12 @@ def find_mu_safe(
 
 
 def adjoint_mismatch(p: GenericProblem, derivative, x, h, ys: list[Any]) -> float:
-    """|sum_w Re<DF(h), y> - <h, adjoint_step(ys)>_X| for consistency probes.
+    """|sum Re<w DF(h), y> - <h, adjoint_step(ys)>_X| for consistency probes.
 
     ``derivative(x, h)`` returns the derivative of every residual at ``x``
-    in direction ``h``.
+    in direction ``h``, times its quadrature weight w.
     """
-    lhs = sum(float(w) * float(np.real(np.vdot(y, d))) for w, d, y in zip(p.weights, derivative(x, h), ys))
+    lhs = sum(float(np.real(np.vdot(y, d))) for d, y in zip(derivative(x, h), ys))
     rhs = p.inner_x(h, p.adjoint_step(ys))
     return abs(lhs - rhs)
 
@@ -275,7 +275,7 @@ def adjoint_mismatch(p: GenericProblem, derivative, x, h, ys: list[Any]) -> floa
 def residual_F(a: np.ndarray, omega: float, data: Dataset) -> np.ndarray:
     """Forward solve at one frequency minus the stored measurement."""
     k = index_of(data.freqs, omega)
-    return solve_dirichlet(assemble(data.grid, a, omega), data.boundary_data(k)) - data.potentials[k]
+    return solve_dirichlet(assemble(data.grid, a, omega), data.boundary_data()) - data.potentials[k]
 
 
 def pairing_dF_route(a: np.ndarray, data: Dataset, d: np.ndarray) -> float:
@@ -306,10 +306,9 @@ def solve_gamma(
     omega: float,
     sigma0: float,
     eps0: float,
-    tol: float = DEFAULT_PINV_TOL,
 ) -> np.ndarray:
     """Log-admittivity field at one frequency from the measured pair."""
-    gamma = solve_poisson(grid, gamma_rhs(grid, u_omega, tol), _log_bc(grid, omega, sigma0, eps0))
+    gamma = solve_poisson(grid, gamma_rhs(grid, u_omega), _log_bc(grid, omega, sigma0, eps0))
     gamma, violations = fold_imag(gamma)
     _warn_branch(violations, omega)
     return gamma

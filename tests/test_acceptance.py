@@ -150,7 +150,7 @@ def test_criterion_5_generic_landweber_oracle():
 def test_criterion_6_initial_guess(data33, truth33):
     t0 = time.perf_counter()
     cfg_const = RunConfig(n=33, c0=0.2, n_freq=5, refinement=1, phantom=PhantomSpec())
-    const_data = synthesize_data(cfg_const.phantom, cfg_const)
+    const_data = synthesize_data(cfg_const)
     guess_const = initial_guess(const_data, cfg_const.admissible)
     exact_dev = max(np.max(np.abs(guess_const[0] - 1.0)), np.max(np.abs(guess_const[1] - 1.0)))
     assert exact_dev <= 1e-10
@@ -255,7 +255,7 @@ def test_criterion_8_empirical_coercivity():
     c_emp = {}
     for n in (33, 49):
         cfg = RunConfig(n=n, c0=0.2, n_freq=5, refinement=1, phantom=TWO_BUMPS)
-        data = synthesize_data(TWO_BUMPS, cfg)
+        data = synthesize_data(cfg)
         grid = data.grid
         a = np.stack(make_phantom(TWO_BUMPS, grid, cfg.admissible))
         states = forward_states(a, data)

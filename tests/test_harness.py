@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import io
 import os
 import re
 
@@ -86,7 +87,7 @@ class TestPhantomId:
 class TestSynthesize:
     def test_constant_phantom_gives_coordinates(self):
         cfg = RunConfig(n=17, c0=0.2, n_freq=3, refinement=2, phantom=PhantomSpec())
-        data = synthesize_data(cfg.phantom, cfg)
+        data = synthesize_data(cfg)
         g = data.grid
         for pair in data.potentials:
             assert np.max(np.abs(pair[0] - g.X)) < 1e-11
@@ -97,8 +98,8 @@ class TestSynthesize:
         for n in (17, 33):
             c1 = RunConfig(n=n, c0=0.2, n_freq=1, refinement=1, phantom=ONE_BUMP)
             c2 = RunConfig(n=n, c0=0.2, n_freq=1, refinement=2, phantom=ONE_BUMP)
-            d1 = synthesize_data(ONE_BUMP, c1)
-            d2 = synthesize_data(ONE_BUMP, c2)
+            d1 = synthesize_data(c1)
+            d2 = synthesize_data(c2)
             diff = np.sqrt(l2_norm_sq(d1.grid, d1.potentials[0][0] - d2.potentials[0][0]))
             assert diff > 0.0
             diffs.append(diff)
@@ -106,12 +107,12 @@ class TestSynthesize:
 
     def test_inverse_crime_flagged(self):
         cfg = RunConfig(n=17, c0=0.2, n_freq=1, refinement=1, phantom=PhantomSpec())
-        data = synthesize_data(cfg.phantom, cfg)
+        data = synthesize_data(cfg)
         assert data.metadata["inverse_crime"] == 1
 
     def test_boundary_values_equal_traces_exactly(self):
         cfg = RunConfig(n=17, c0=0.2, n_freq=2, refinement=3, phantom=ONE_BUMP)
-        data = synthesize_data(ONE_BUMP, cfg)
+        data = synthesize_data(cfg)
         g = data.grid
         for pair in data.potentials:
             assert np.array_equal(g.trace(pair[0]), g.trace(g.X.astype(complex)))
@@ -121,7 +122,7 @@ class TestSynthesize:
 @pytest.fixture(scope="module")
 def clean():
     cfg = RunConfig(n=65, c0=0.2, n_freq=2, refinement=1, phantom=ONE_BUMP)
-    return synthesize_data(ONE_BUMP, cfg)
+    return synthesize_data(cfg)
 
 
 class TestNoise:
@@ -177,7 +178,7 @@ class TestFieldIO:
 
     def test_dataset_roundtrip_bitwise(self, tmp_path):
         cfg = RunConfig(n=17, c0=0.2, n_freq=3, refinement=2, phantom=ONE_BUMP)
-        data = synthesize_data(ONE_BUMP, cfg)
+        data = synthesize_data(cfg)
         target = str(tmp_path / "ds")
         write_dataset(target, data)
         back = read_dataset(target)
@@ -190,7 +191,7 @@ class TestFieldIO:
 
     def test_dataset_write_deterministic(self, tmp_path):
         cfg = RunConfig(n=17, c0=0.2, n_freq=2, refinement=1, phantom=ONE_BUMP)
-        data = synthesize_data(ONE_BUMP, cfg)
+        data = synthesize_data(cfg)
         d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
         write_dataset(d1, data)
         write_dataset(d2, data)
@@ -204,7 +205,7 @@ class TestFieldIO:
         for cast in (float, np.float64):
             cfg = RunConfig(n=17, c0=cast(0.2), omega_lo=cast(1.0), omega_hi=cast(2.0), n_freq=2,
                             refinement=1, phantom=ONE_BUMP)
-            data = add_noise(synthesize_data(ONE_BUMP, cfg), cast(0.01), 3)
+            data = add_noise(synthesize_data(cfg), cast(0.01), 3)
             target = tmp_path / cast.__name__
             write_dataset(str(target), data)
             back = read_dataset(str(target))
@@ -310,6 +311,15 @@ class TestDatasetValidation:
         assert main(["reconstruct", "--config", path, "--data", data_dir]) == 2
         assert "quadrature weights must be finite" in capsys.readouterr().err
 
+    def test_manifest_band_below_zero(self, dataset, capsys):
+        # the initial guess divides by the band midpoint, zero here
+        path, data_dir = dataset
+        band = {"omega_lo": "-2.0", "omega_hi": "2.0", "nodes": "-2.0 2.0", "weights": "2.0 2.0"}
+        self._edit_manifest(data_dir, lambda sec: sec.update(band))
+        self._rejects(path, data_dir, "manifest.cfg", capsys)
+        assert main(["reconstruct", "--config", path, "--data", data_dir]) == 2
+        assert "0 <= omega_lo < omega_hi" in capsys.readouterr().err
+
     def test_manifest_nodes_and_weights_differ_in_length(self, dataset, capsys):
         # one weight equal to the interval length for the two nodes
         path, data_dir = dataset
@@ -355,7 +365,6 @@ def _run_configs(draw):
         stop_tol=draw(_finite(0.0, 1.0)),
         x0=draw(st.sampled_from(["initguess", "background"])),
         lambda_min=draw(_finite()),
-        pinv_tol=draw(_finite(1e-15, 0.5)),
         noise_level=draw(_finite(0.0, 1.0)),
         noise_seed=draw(st.integers(0, 2**31)),
         refinement=draw(st.sampled_from([1, 2, 3])),
@@ -381,16 +390,26 @@ class TestConfig:
             text = fh.read()
         assert serialize_config(parse_config(DEFAULT_CFG)) == text
 
+    @staticmethod
+    def _shows_every_key_at_its_default(text: str) -> RunConfig:
+        """Check that ``text`` lists exactly the schema's sections and keys, each at its default."""
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+        cp.read_string(text)
+        assert {s: cp.options(s) for s in cp.sections()} == {s: list(keys) for s, keys in _SCHEMA.items()}
+        # the inclusions shown are the default file's phantom; the default is none
+        shown = parse_config_text(text)
+        assert shown == RunConfig(phantom=shown.phantom)
+        return shown
+
     def test_readme_block_shows_every_key_at_its_default(self):
         with open(README, encoding="utf-8") as fh:
             block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
-        cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
-        cp.read_string(block)
-        assert {s: cp.options(s) for s in cp.sections()} == {s: list(keys) for s, keys in _SCHEMA.items()}
-        # the inclusions shown are the default file's phantom; the default is none
-        shown = parse_config_text(block)
-        assert shown == RunConfig(phantom=shown.phantom)
+        shown = self._shows_every_key_at_its_default(block)
         assert shown.phantom == parse_config(DEFAULT_CFG).phantom
+
+    def test_default_file_shows_every_key_at_its_default(self):
+        with open(DEFAULT_CFG, encoding="utf-8") as fh:
+            self._shows_every_key_at_its_default(fh.read())
 
     def test_schema_names_every_field_once(self):
         # a field left out of the key table would never reach the file
@@ -404,7 +423,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("[initguess]\nper_frequency_eps = false\n", "unknown key 'per_frequency_eps' in section [initguess]"),
+            ("[initguess]\nper_frequency_eps = false\n", "unknown section [initguess]"),
+            ("[initguess]\npinv_tol = 1e-08\n", "unknown section [initguess]"),
             ("[phantom]\nsigma0 = 1.0\n", "unknown key 'sigma0' in section [phantom]"),
             ("[phantom]\neps0 = 1.0\n", "unknown key 'eps0' in section [phantom]"),
             ("[landweber]\nallow_low_coverage = true\n", "unknown key 'allow_low_coverage' in section [landweber]"),
@@ -483,14 +503,10 @@ class TestConfig:
             ("[landweber]\nmu = nan\n", "mu"),
             ("[landweber]\nmu = inf\n", "mu"),
             ("[landweber]\nstop_tol = nan\n", "stop_tol"),
-            ("[initguess]\npinv_tol = nan\n", "pinv_tol"),
-            ("[initguess]\npinv_tol = -1\n", "pinv_tol"),
-            ("[initguess]\npinv_tol = 0\n", "pinv_tol"),
-            ("[initguess]\npinv_tol = 1\n", r"\[initguess\] pinv_tol"),
-            ("[initguess]\npinv_tol = 2.5\n", r"\[initguess\] pinv_tol"),
             ("[noise]\nlevel = nan\n", "level"),
             ("[admissible]\nc4 = inf\n", "c4"),
             ("[frequencies]\nomega_hi = inf\n", "omega_hi"),
+            ("[frequencies]\nomega_lo = -1\n", "omega_lo"),
             ("[phantom]\ninclusions =\n    0.5 0.5 0.15 nan 0.1\n", "inclusions"),
             ("[phantom]\ninclusions =\n    0.5 0.5 0 0.5 0.1\n", r"\[phantom\] inclusions"),
             ("[phantom]\ninclusions =\n    0.5 0.5 -0.15 0.5 0.1\n", r"\[phantom\] inclusions"),
@@ -504,6 +520,75 @@ class TestConfig:
     def test_malformed_inclusion_line(self):
         with pytest.raises(ConfigError, match="inclusions"):
             parse_config_text("[phantom]\ninclusions =\n    0.5 0.5 0.15\n")
+
+
+#: A small run whose outputs each config key can change.
+_LIVE_BASE = serialize_config(RunConfig(
+    n=17, n_freq=3, refinement=1, phantom=PhantomSpec([Inclusion(0.5, 0.5, 0.15, -0.3, 0.5)]),
+    max_iters=12, stop_tol=0.0, noise_level=0.01,
+))
+
+#: One valid alternative to ``_LIVE_BASE``'s value of every config key.
+_ALTERNATIVES = {
+    ("grid", "n"): "21",
+    ("grid", "c0"): "0.25",
+    ("admissible", "sigma0"): "1.5",
+    ("admissible", "eps0"): "1.5",
+    ("admissible", "c1"): "0.8",  # above the phantom's sigma minimum of 0.7: simulate exits 2
+    ("admissible", "c2"): "1.505",
+    ("admissible", "c4"): "1.0",
+    ("frequencies", "omega_lo"): "0.5",
+    ("frequencies", "omega_hi"): "3.0",
+    ("frequencies", "count"): "4",
+    ("phantom", "inclusions"): "\n0.5 0.5 0.15 0.3 0.2",
+    ("landweber", "mu"): "0.1",
+    ("landweber", "max_iters"): "5",
+    ("landweber", "stop_tol"): "1",
+    ("landweber", "x0"): "background",
+    ("landweber", "lambda_min"): "10",
+    ("noise", "level"): "0.02",
+    ("noise", "seed"): "5",
+    ("data", "refinement"): "2",
+    ("output", "dir"): "elsewhere",
+}
+
+
+def _run_outcome(text: str, root) -> tuple:
+    """Exit statuses of simulate, coverage and reconstruct --data, and every file they write under ``root``."""
+    root.mkdir()
+    path = root.parent / (root.name + ".cfg")
+    path.write_text(text)
+    data = os.path.join(parse_config_text(text).output_dir, "dataset")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        codes = tuple(main(argv + ["--config", str(path)])
+                      for argv in (["simulate"], ["coverage"], ["reconstruct", "--data", data]))
+    files = {f.relative_to(root): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+    return codes, files
+
+
+class TestEveryKeyIsLive:
+    """Each config key can change a run: its outputs, where they land, or an exit status."""
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("live")
+        outcome = _run_outcome(_LIVE_BASE, root / "base")
+        assert outcome[0] == (0, 0, 0)
+        # a rerun matches, so a difference below comes from the key
+        assert _run_outcome(_LIVE_BASE, root / "rerun") == outcome
+        return outcome
+
+    @pytest.mark.parametrize("section, key", [(s, k) for s, keys in _SCHEMA.items() for k in keys])
+    def test_alternative_value_changes_the_run(self, section, key, base, tmp_path):
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_string(_LIVE_BASE)
+        cp[section][key] = _ALTERNATIVES[section, key]
+        buf = io.StringIO()
+        cp.write(buf)
+        text = buf.getvalue()
+        assert parse_config_text(text) != parse_config_text(_LIVE_BASE)
+        assert _run_outcome(text, tmp_path / "alt") != base
 
 
 class TestCli:
@@ -741,13 +826,6 @@ class TestCli:
         ):
             assert main(argv) == 2
             assert str(path) in capsys.readouterr().err
-
-    def test_pinv_tol_of_one_exits_2(self, tmp_path, capsys):
-        # a cutoff of 1 zeroes every pseudo-inverse, so the guess would silently be the background
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("[initguess]\npinv_tol = 1.0\n")
-        assert main(["init-guess", "--config", str(bad), "--data", str(tmp_path / "none")]) == 2
-        assert "[initguess] pinv_tol" in capsys.readouterr().err
 
     def test_grid_without_interior_node_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -27,7 +27,7 @@ from helpers import TWO_BUMPS, rel_interior_err, solve_gamma
 @pytest.fixture(scope="module")
 def constant_data33():
     cfg = RunConfig(n=33, c0=0.2, n_freq=5, refinement=1, phantom=PhantomSpec())
-    return synthesize_data(cfg.phantom, cfg), cfg
+    return synthesize_data(cfg), cfg
 
 
 class TestPinv:
@@ -195,7 +195,7 @@ class TestSolveGamma:
 
     def test_exp_gamma_closer_than_background_on_bumps(self):
         cfg = RunConfig(n=33, c0=0.2, n_freq=3, refinement=2, phantom=TWO_BUMPS)
-        data = synthesize_data(TWO_BUMPS, cfg)
+        data = synthesize_data(cfg)
         grid = data.grid
         truth = make_phantom(TWO_BUMPS, grid, cfg.admissible)
         k = 1
@@ -218,7 +218,7 @@ class TestInitialGuess:
     def test_single_frequency_eps_exact_for_constant_medium(self):
         cfg = RunConfig(n=17, c0=0.2, omega_lo=1.0, omega_hi=2.0, n_freq=1,
                         refinement=1, phantom=PhantomSpec())
-        data = synthesize_data(cfg.phantom, cfg)
+        data = synthesize_data(cfg)
         guess = initial_guess(data, cfg.admissible)
         assert np.max(np.abs(guess[1] - 1.0)) < 1e-10
 

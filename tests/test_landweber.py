@@ -44,7 +44,7 @@ def pde_step(x, data, lcfg, truth=None):
 @pytest.fixture(scope="module")
 def constant_data():
     cfg = RunConfig(n=17, c0=0.2, n_freq=3, refinement=1, phantom=PhantomSpec())
-    return synthesize_data(cfg.phantom, cfg), cfg
+    return synthesize_data(cfg), cfg
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def bump_setup(data33_single):
 def bump17_states():
     """Forward states at the projected initial guess of a one-bump n=17 dataset."""
     cfg = RunConfig(n=17, c0=0.2, n_freq=5, refinement=1, phantom=ONE_BUMP)
-    data = synthesize_data(ONE_BUMP, cfg)
+    data = synthesize_data(cfg)
     x0 = project_T(data.grid, initial_guess(data, cfg.admissible), cfg.admissible)
     return data.grid, forward_states(x0, data)
 
@@ -274,7 +274,7 @@ class TestGenericEngine:
         boxed = GenericProblem(
             residuals=problem.residuals,
             adjoint_step=problem.adjoint_step,
-            weights=problem.weights,
+            misfit=problem.misfit,
             project=lambda x: np.clip(x, -10.0, 10.0),
         )
         cfg = LandweberConfig(mu=mu, max_iters=10_000, stop_tol=0.0)
@@ -286,11 +286,10 @@ class TestGenericEngine:
         mats = [rng.standard_normal((5, 5)) for _ in range(3)]
         x0 = rng.standard_normal(5)
         bs = [a @ x0 for a in mats]
-        weights = np.ones(3)
         problem = GenericProblem(
             residuals=lambda x: [a @ x - b for a, b in zip(mats, bs)],
             adjoint_step=lambda res: sum(a.T @ r for a, r in zip(mats, res)),
-            weights=weights,
+            misfit=lambda res: 0.5 * sum(float(r @ r) for r in res),
         )
         mu = 0.9 / sum(np.linalg.norm(a, 2) ** 2 for a in mats)
         xf, recs = generic_run(problem, x0, LandweberConfig(mu=mu, max_iters=5, stop_tol=0.0))

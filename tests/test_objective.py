@@ -81,7 +81,7 @@ class TestResidual:
         from mfeit import PhantomSpec
 
         cfg = RunConfig(n=17, c0=0.2, n_freq=3, refinement=1, phantom=PhantomSpec())
-        data = synthesize_data(cfg.phantom, cfg)
+        data = synthesize_data(cfg)
         a = constant_field(data.grid, 1.0, 1.0)
         f = residual_F(a, float(data.freqs.nodes[1]), data)
         assert np.max(np.abs(f[0])) < 1e-12
@@ -108,7 +108,7 @@ class TestResidual:
 class TestMisfit:
     def test_floor_at_truth_inverse_crime(self):
         cfg = RunConfig(n=17, c0=0.2, n_freq=3, refinement=1, phantom=ONE_BUMP)
-        data = synthesize_data(ONE_BUMP, cfg)
+        data = synthesize_data(cfg)
         truth = np.stack(make_phantom(ONE_BUMP, data.grid, cfg.admissible))
         assert misfit_J(truth, data) <= 1e-18
 
@@ -118,7 +118,7 @@ class TestMisfit:
 
     def test_quadratic_in_noise_level(self):
         cfg = RunConfig(n=33, c0=0.2, n_freq=3, refinement=1, phantom=ONE_BUMP)
-        data = synthesize_data(ONE_BUMP, cfg)
+        data = synthesize_data(cfg)
         truth = np.stack(make_phantom(ONE_BUMP, data.grid, cfg.admissible))
         j1 = misfit_J(truth, add_noise(data, 0.01, 99))
         j2 = misfit_J(truth, add_noise(data, 0.02, 99))
@@ -147,7 +147,7 @@ class TestLinearization:
     def test_zero_direction(self, data33, truth33):
         data, _ = data33
         omega = float(data.freqs.nodes[1])
-        u = solve_dirichlet(assemble(data.grid, truth33, omega), data.boundary_data(1))
+        u = solve_dirichlet(assemble(data.grid, truth33, omega), data.boundary_data())
         z = np.zeros((2,) + data.grid.shape)
         v = dF(assemble(data.grid, truth33, omega), z, u)
         assert np.max(np.abs(v[0])) == 0.0
@@ -156,7 +156,7 @@ class TestLinearization:
         data, _ = data33
         grid = data.grid
         omega = float(data.freqs.nodes[1])
-        u = solve_dirichlet(assemble(grid, truth33, omega), data.boundary_data(1))
+        u = solve_dirichlet(assemble(grid, truth33, omega), data.boundary_data())
         d = unit_direction(grid, np.random.default_rng(5))
         v1 = dF(assemble(grid, truth33, omega), d, u)
         v2 = dF(assemble(grid, truth33, omega), 2 * d, u)
@@ -168,7 +168,7 @@ class TestLinearization:
         grid = data.grid
         a0 = project_T(grid, constant_field(grid, 1.0, 1.0), cfg.admissible)
         omega = float(data.freqs.nodes[0])
-        phi = data.boundary_data(0)
+        phi = data.boundary_data()
         u0 = solve_dirichlet(assemble(grid, a0, omega), phi)
         d = unit_direction(grid, np.random.default_rng(3))
         v = dF(assemble(grid, a0, omega), d, u0)
@@ -187,7 +187,7 @@ class TestLinearization:
 class TestGradient:
     def test_small_at_truth_with_matching_data(self):
         cfg = RunConfig(n=17, c0=0.2, n_freq=3, refinement=1, phantom=ONE_BUMP)
-        data = synthesize_data(ONE_BUMP, cfg)
+        data = synthesize_data(cfg)
         truth = np.stack(make_phantom(ONE_BUMP, data.grid, cfg.admissible))
         g = gradient_DJ(truth, data)
         assert max(np.max(np.abs(g[0])), np.max(np.abs(g[1]))) <= 1e-9
@@ -228,7 +228,7 @@ class TestGradient:
 
     def test_conjugate_at_negated_frequency(self, data33, truth33):
         data, _ = data33
-        phi = data.boundary_data(0)
+        phi = data.boundary_data()
         for omega in (0.7, 1.3, 1.9):
             up = solve_dirichlet(assemble(data.grid, truth33, omega), phi)
             um = solve_dirichlet(assemble(data.grid, truth33, -omega), phi)
