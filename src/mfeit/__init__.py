@@ -28,7 +28,7 @@ from .landweber import (
     run,
     step,
 )
-from .initguess import GammaField, gamma_rhs, initial_guess, pinv2x2
+from .initguess import gamma_rhs, initial_guess, pinv2x2
 from .phantom import Inclusion, PhantomSpec, add_noise, make_phantom, synthesize_data
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 

@@ -1,24 +1,28 @@
-"""Initial admittivity guess from the data alone.
+"""Initial admittivity guess from the data alone, in four steps.
 
-For each measured frequency the log-admittivity satisfies a Poisson
-equation whose right-hand side is computable from the measured potential
-pair: with A its 2x2 gradient matrix and s the row-wise divergence of A,
-the right-hand side is the divergence of ``w = -pinv(A^T) s``.  The
-pseudo-inverse drops singular values of A at or below ``sqrt(PINV_TOL)``
-times the largest, which is the cutoff ``PINV_TOL`` on the singular values
-of ``conj(A) A^T``.  The coverage gate keeps A away from singular, so the
-cutoff is a constant, not a setting.  Exponentials of the per-frequency
-solutions are averaged over the band; the real part is the conductivity
-guess and the imaginary part, divided by the band midpoint, the
-permittivity guess.  The result is projected into the admissible set
-before use.
+1. For each measured frequency the log-admittivity gamma solves a Poisson
+   equation whose boundary values are the logarithm of the background
+   admittivity and whose right-hand side is computable from the measured
+   potential pair: with A its 2x2 gradient matrix and s the row-wise
+   divergence of A, it is the divergence of ``w = -pinv(A^T) s``.  The
+   pseudo-inverse drops singular values of A at or below
+   ``sqrt(PINV_TOL)`` times the largest, which is the cutoff ``PINV_TOL``
+   on the singular values of ``conj(A) A^T``.  The coverage gate keeps A
+   away from singular, so the cutoff is a constant, not a setting.  All
+   frequencies share one Poisson solve (``compute_gammas``).
+2. Each solution's imaginary part is folded to its nearest branch
+   (``fold_imag``).
+3. ``exp(gamma)`` is averaged over the band by the frequency quadrature.
+4. The average's real part is the conductivity guess and its imaginary
+   part, divided by the band midpoint, the permittivity guess
+   (``initial_guess``), which is projected into the admissible set before
+   use.
 """
 
 from __future__ import annotations
 
 import cmath
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,71 +100,49 @@ def gamma_rhs(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 
 def fold_imag(gamma: np.ndarray) -> tuple[np.ndarray, int]:
-    """Reduce the imaginary part modulo pi into [0, pi).
+    """Fold the imaginary part to its nearest branch, into [-pi/2, pi/2].
 
-    Values landing in [pi/2, pi) are counted and reported by the caller;
-    they indicate a branch the construction cannot justify, and are kept
-    rather than folded further.
+    Values in (-pi/2, pi/2) come back bit for bit.  A positive admittivity
+    has its argument in [0, pi/2), so the nodes whose folded part lies below
+    -1e-12 or at or above pi/2 are counted and returned: they indicate a
+    branch the construction cannot justify, and are kept rather than folded
+    further.  The slack admits the rounding-level values of omega = 0.
     """
-    im = np.mod(gamma.imag, np.pi)
-    violations = int(np.count_nonzero(im >= 0.5 * np.pi))
+    im = gamma.imag - np.pi * np.round(gamma.imag / np.pi)
+    violations = int(np.count_nonzero((im < -1e-12) | (im >= 0.5 * np.pi)))
     return gamma.real + 1j * im, violations
 
 
-def _log_bc(grid: Grid, omega: float, sigma0: float, eps0: float) -> np.ndarray:
-    """Boundary values of the log-admittivity: the background's logarithm."""
-    return np.full(len(grid.boundary_index), cmath.log(sigma0 + 1j * omega * eps0), dtype=complex)
+def compute_gammas(data: Dataset, sigma0: float, eps0: float) -> list[np.ndarray]:
+    """Branch-folded log-admittivity at every frequency: one Poisson solve, one column per frequency.
 
-
-def _warn_branch(violations: int, omega: float) -> None:
-    if violations:
-        logger.warning(
-            "log-admittivity branch: %d nodes with imaginary part >= pi/2 at omega=%g",
-            violations,
-            omega,
-        )
-
-
-@dataclass
-class GammaField:
-    """Per-frequency log-admittivity solutions with branch diagnostics."""
-
-    gammas: list[np.ndarray]
-    fold_violations: list[int]
-
-
-def compute_gammas(data: Dataset, sigma0: float, eps0: float) -> GammaField:
-    """Log-admittivity at every frequency: one Poisson factorization, one column per frequency."""
+    The boundary values are the logarithm of the background admittivity.
+    Nodes that ``fold_imag`` counts are logged as a warning per frequency.
+    """
     grid = data.grid
     omegas = [float(w) for w in data.freqs.nodes]
     rhs = map_frequencies(lambda u: gamma_rhs(grid, u), data.potentials)
-    bc = np.stack([_log_bc(grid, w, sigma0, eps0) for w in omegas])
-    solved = solve_poisson(grid, np.stack(rhs), bc)
-    gammas, violations = [], []
-    for omega, column in zip(omegas, solved):
-        gamma, v = fold_imag(column)
-        _warn_branch(v, omega)
+    nb = len(grid.boundary_index)
+    bc = np.stack([np.full(nb, cmath.log(sigma0 + 1j * w * eps0), dtype=complex) for w in omegas])
+    gammas = []
+    for omega, column in zip(omegas, solve_poisson(grid, np.stack(rhs), bc)):
+        gamma, violations = fold_imag(column)
+        if violations:
+            logger.warning("log-admittivity branch: %d nodes outside [0, pi/2) at omega=%g", violations, omega)
         gammas.append(gamma)
-        violations.append(v)
-    return GammaField(gammas=gammas, fold_violations=violations)
-
-
-def average_exp_gamma(data: Dataset, gf: GammaField) -> np.ndarray:
-    """Band average of exp(gamma): weighted quadrature over the frequency nodes."""
-    length = data.freqs.omega_hi - data.freqs.omega_lo
-    m = np.zeros(data.grid.shape, dtype=complex)
-    for w, gamma in zip(data.freqs.weights, gf.gammas):
-        m += float(w) * np.exp(gamma)
-    return m / length
-
-
-def extract_sigma_eps(m: np.ndarray, omega_mid: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split the averaged complex admittivity into (sigma, eps) at the band midpoint."""
-    return m.real.copy(), m.imag / omega_mid
+    return gammas
 
 
 def initial_guess(data: Dataset, params: AdmissibleParams) -> np.ndarray:
-    """Construct and project the initial admittivity guess, shape (2, n, n), from a dataset."""
-    gf = compute_gammas(data, params.sigma0, params.eps0)
-    sigma, eps = extract_sigma_eps(average_exp_gamma(data, gf), data.freqs.omega_mid)
-    return project_T(data.grid, np.stack((sigma, eps)), params)
+    """Construct and project the initial admittivity guess, shape (2, n, n), from a dataset.
+
+    ``exp(gamma)`` is averaged over the band by the frequency grid's
+    quadrature; its real part is sigma and its imaginary part, divided by
+    the band midpoint, eps.
+    """
+    freqs = data.freqs
+    m = np.zeros(data.grid.shape, dtype=complex)
+    for w, gamma in zip(freqs.weights, compute_gammas(data, params.sigma0, params.eps0)):
+        m += float(w) * np.exp(gamma)
+    m /= freqs.omega_hi - freqs.omega_lo
+    return project_T(data.grid, np.stack((m.real, m.imag / freqs.omega_mid)), params)

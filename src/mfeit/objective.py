@@ -41,11 +41,12 @@ class FrequencyGrid:
     """Quadrature nodes and weights on the frequency interval.
 
     The interval satisfies ``0 <= omega_lo < omega_hi``: the initial guess
-    divides by its midpoint and folds the log-admittivity branch for
-    nonnegative frequencies only.  Weights are positive and sum to
-    ``omega_hi - omega_lo``; the default constructor ``uniform`` uses the
-    trapezoid rule (a single node gets the full interval length as its
-    weight).
+    divides by its midpoint and folds the log-admittivity to its nearest
+    branch, whose imaginary part lies in [0, pi/2) at nonnegative
+    frequencies (at ``omega = 0``, up to rounding).  Weights are positive
+    and sum to ``omega_hi - omega_lo``; the default constructor ``uniform``
+    uses the trapezoid rule (a single node gets the full interval length as
+    its weight).
     """
 
     omega_lo: float

@@ -58,16 +58,16 @@ boundary-trace component, so a forward, adjoint or linearized solve passes
 its pair straight to ``solve_dirichlet`` as one 2-column right-hand side.
 
 ``map_frequencies`` is the one frequency pool.  With ``MFEIT_THREADS`` =
-T > 1, item i of a per-frequency loop runs on the (i mod T)-th of T
-single-thread workers that live for the process; with T = 1 the items run
-inline.  Every loaded OpenBLAS is held at one thread while a loop runs, so
-pool threads and BLAS threads do not oversubscribe the cores and results
-are bit-identical for every T.  The pool lives here because it shares one
-rule with the factorization: a SuperLU factor is destroyed on the thread
-that made it.  scipy returns a factor's memory only on that thread, so a
-factor made on a worker and dropped on the main thread would leak;
-``EllipticOperator.factorization`` hands each factor a worker makes back
-to that worker when its operator dies.
+T > 1, item i of a per-frequency loop of N items runs on the (i mod W)-th
+of W = min(T, N) single-thread workers that live for the process; with
+T = 1 the items run inline.  Every loaded OpenBLAS is held at one thread
+while a loop runs, so pool threads and BLAS threads do not oversubscribe
+the cores and results are bit-identical for every T.  The pool lives here
+because it shares one rule with the factorization: a SuperLU factor is
+destroyed on the thread that made it.  scipy returns a factor's memory
+only on that thread, so a factor made on a worker and dropped on the main
+thread would leak; ``EllipticOperator.factorization`` hands each factor a
+worker makes back to that worker when its operator dies.
 """
 from __future__ import annotations
 
@@ -113,6 +113,9 @@ _BLAS_SYMBOLS = (
 
 #: ``executor`` is set on each pool worker thread to the executor that owns it.
 _worker = threading.local()
+#: The frequency pool's single-thread executors, in start order; ``_workers`` grows it.
+_pool: list[ThreadPoolExecutor] = []
+_pool_lock = threading.Lock()
 
 
 class SolverError(RuntimeError):
@@ -233,13 +236,14 @@ def _release(owner: ThreadPoolExecutor, holder: list) -> None:
         pass
 
 
-@functools.lru_cache(maxsize=None)
-def _workers(count: int) -> tuple[ThreadPoolExecutor, ...]:
-    """``count`` single-thread executors, created once per thread count."""
-    workers = tuple(ThreadPoolExecutor(max_workers=1, thread_name_prefix="mfeit-freq") for _ in range(count))
-    for w in workers:
-        w.submit(setattr, _worker, "executor", w).result()
-    return workers
+def _workers(count: int) -> list[ThreadPoolExecutor]:
+    """The first ``count`` single-thread executors of the pool, starting those it lacks."""
+    with _pool_lock:
+        while len(_pool) < count:
+            w = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mfeit-freq")
+            w.submit(setattr, _worker, "executor", w).result()
+            _pool.append(w)
+        return _pool[:count]
 
 
 @functools.lru_cache(maxsize=None)
@@ -296,14 +300,15 @@ def map_frequencies(fn, items) -> list:
     The thread count is read from ``MFEIT_THREADS`` (default 1) and must be
     a positive integer; anything else raises a ValueError naming the
     variable.  With one thread, or when called from a pool worker, the
-    items run inline on the calling thread.  With T threads item i runs on
-    the (i mod T)-th of T single-thread workers, which live for the
-    process; each factorization a task makes is destroyed on its worker
-    (see ``EllipticOperator.factorization``).  Either way every loaded
-    OpenBLAS is held at one thread for the call (``blas_one_thread``), so
-    the pool does not oversubscribe the cores and results do not depend on
-    the thread count.  Every task finishes before the first failure, in
-    input order, is raised.
+    items run inline on the calling thread.  With T threads and N items,
+    item i runs on the (i mod W)-th of W = min(T, N) single-thread workers:
+    the first W of one pool that lives for the process and starts a worker
+    only when a loop first needs it.  Each factorization a task makes is
+    destroyed on its worker (see ``EllipticOperator.factorization``).
+    Either way every loaded OpenBLAS is held at one thread for the call
+    (``blas_one_thread``), so the pool does not oversubscribe the cores and
+    results do not depend on the thread count.  Every task finishes before
+    the first failure, in input order, is raised.
     """
     raw = os.environ.get(THREADS_ENV, "1")
     try:
@@ -317,8 +322,8 @@ def map_frequencies(fn, items) -> list:
         # On a worker, a call runs inline: waiting on its own worker would deadlock.
         if nthreads == 1 or len(items) <= 1 or hasattr(_worker, "executor"):
             return [fn(x) for x in items]
-        workers = _workers(nthreads)
-        futures = [workers[i % nthreads].submit(fn, x) for i, x in enumerate(items)]
+        workers = _workers(min(nthreads, len(items)))
+        futures = [workers[i % len(workers)].submit(fn, x) for i, x in enumerate(items)]
         wait(futures)
         return [f.result() for f in futures]
 

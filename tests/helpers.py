@@ -6,6 +6,7 @@ paths they check, so they live with the tests rather than in the package.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Any
 
@@ -13,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from mfeit import PhantomSpec, Inclusion
-from mfeit.initguess import _log_bc, _warn_branch, fold_imag, gamma_rhs
+from mfeit.initguess import fold_imag, gamma_rhs
 from mfeit.landweber import GenericProblem, LandweberConfig, run
 from mfeit.mesh import Grid, face_diff_x, face_diff_y, h1_norm_sq, l2_norm_sq, laplacian
 from mfeit.objective import Dataset, FrequencyGrid, bump_profile, dF, forward_states
@@ -307,11 +308,13 @@ def solve_gamma(
     sigma0: float,
     eps0: float,
 ) -> np.ndarray:
-    """Log-admittivity field at one frequency from the measured pair."""
-    gamma = solve_poisson(grid, gamma_rhs(grid, u_omega), _log_bc(grid, omega, sigma0, eps0))
-    gamma, violations = fold_imag(gamma)
-    _warn_branch(violations, omega)
-    return gamma
+    """Branch-folded log-admittivity at one frequency from the measured pair.
+
+    The per-frequency reference for ``initguess.compute_gammas``: its own
+    Poisson solve, with the background's logarithm as boundary values.
+    """
+    bc = np.full(len(grid.boundary_index), cmath.log(sigma0 + 1j * omega * eps0), dtype=complex)
+    return fold_imag(solve_poisson(grid, gamma_rhs(grid, u_omega), bc))[0]
 
 
 def write_field_csv_per_node(path: str, values: np.ndarray, grid: Grid) -> None:

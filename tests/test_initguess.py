@@ -1,4 +1,5 @@
 import cmath
+import logging
 
 import numpy as np
 import pytest
@@ -7,11 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mfeit import RunConfig, PhantomSpec
-from mfeit.admissible import is_member
+from mfeit.admissible import AdmissibleParams, is_member
 from mfeit.initguess import (
-    average_exp_gamma,
     compute_gammas,
-    extract_sigma_eps,
     fold_imag,
     gamma_rhs,
     initial_guess,
@@ -28,6 +27,14 @@ from helpers import TWO_BUMPS, rel_interior_err, solve_gamma
 def constant_data33():
     cfg = RunConfig(n=33, c0=0.2, n_freq=5, refinement=1, phantom=PhantomSpec())
     return synthesize_data(cfg), cfg
+
+
+def _constant_medium_guess(omega_lo, omega_hi):
+    """Initial guess from the data of a constant medium off the unit background, on one band."""
+    params = AdmissibleParams(sigma0=2.0, eps0=0.5)
+    cfg = RunConfig(n=17, c0=0.2, omega_lo=omega_lo, omega_hi=omega_hi, n_freq=4, refinement=1,
+                    admissible=params, phantom=PhantomSpec())
+    return initial_guess(synthesize_data(cfg), params), params
 
 
 class TestPinv:
@@ -188,10 +195,11 @@ class TestSolveGamma:
     def test_branch_fold_and_report(self):
         gamma = np.array([[1.0 + 0.4j, 1.0 - 0.3j, 0.5 + 4.0j]])
         folded, violations = fold_imag(gamma)
-        assert np.all(folded.imag >= 0.0) and np.all(folded.imag < np.pi)
-        assert folded[0, 0] == 1.0 + 0.4j  # in-band values untouched
-        assert folded[0, 2].imag == pytest.approx(4.0 - np.pi)  # reduced modulo pi
-        assert violations == 1  # -0.3 folds to pi-0.3 >= pi/2
+        assert np.all(np.abs(folded.imag) <= 0.5 * np.pi)
+        assert folded[0, 0] == 1.0 + 0.4j  # values in (-pi/2, pi/2) untouched
+        assert folded[0, 1] == 1.0 - 0.3j
+        assert folded[0, 2].imag == pytest.approx(4.0 - np.pi)  # to the nearest branch
+        assert violations == 1  # -0.3 is kept, and counted: below [0, pi/2)
 
     def test_exp_gamma_closer_than_background_on_bumps(self):
         cfg = RunConfig(n=33, c0=0.2, n_freq=3, refinement=2, phantom=TWO_BUMPS)
@@ -233,24 +241,36 @@ class TestInitialGuess:
         guess = initial_guess(data, cfg.admissible)
         assert is_member(data.grid, guess, cfg.admissible).in_set
 
-    def test_branch_invariant_on_clean_data(self, data33):
+    def test_branch_invariant_on_clean_data(self, data33, caplog):
         data, _ = data33
-        gf = compute_gammas(data, 1.0, 1.0)
-        assert gf.fold_violations == [0] * data.freqs.nodes.size
-        for gamma in gf.gammas:
+        with caplog.at_level(logging.WARNING, logger="mfeit.initguess"):
+            gammas = compute_gammas(data, 1.0, 1.0)
+        assert not caplog.records
+        assert len(gammas) == data.freqs.nodes.size
+        for gamma in gammas:
             assert np.all(gamma.imag >= 0.0) and np.all(gamma.imag < 0.5 * np.pi)
 
     def test_eps_scales_inversely_with_band_midpoint(self):
-        # frequency-independent averaged admittivity: eps extraction ~ 1/omega_mid
-        m = np.full((4, 4), 2.0 + 0.9j)
-        s1, e1 = extract_sigma_eps(m, 1.5)
-        s2, e2 = extract_sigma_eps(m, 3.0)
-        assert np.allclose(s1, s2)
-        assert np.allclose(e1, 2.0 * e2)
+        # exp(gamma) = sigma0 + i omega eps0 averages to sigma0 + i omega_mid eps0, so
+        # eps0 comes back only if the imaginary part is divided by each band's midpoint
+        for band in ((1.0, 2.0), (2.0, 4.0)):
+            guess, params = _constant_medium_guess(*band)
+            assert np.max(np.abs(guess[1] - params.eps0)) < 1e-10
 
-    def test_average_matches_quadrature(self, constant_data33):
-        data, _ = constant_data33
-        gf = compute_gammas(data, 1.0, 1.0)
-        m = average_exp_gamma(data, gf)
-        omega_mid = data.freqs.omega_mid
-        assert np.max(np.abs(m - (1.0 + 1j * omega_mid))) < 1e-10
+    def test_average_matches_quadrature(self):
+        # the weighted band average of sigma0 + i omega eps0 is exact for the trapezoid
+        # rule, and its real part is sigma0 only if it is divided by the band length
+        for band in ((1.0, 2.0), (2.0, 4.0)):
+            guess, params = _constant_medium_guess(*band)
+            assert np.max(np.abs(guess[0] - params.sigma0)) < 1e-10
+
+    def test_band_from_zero_keeps_the_branch(self, caplog):
+        # at omega = 0 the log-admittivity is real up to rounding; the fold must
+        # keep a rounding-level negative imaginary part rather than add pi to it
+        cfg = RunConfig(n=17, c0=0.2, omega_lo=0.0, omega_hi=2.0, n_freq=3, refinement=1, phantom=PhantomSpec())
+        data = synthesize_data(cfg)
+        with caplog.at_level(logging.WARNING, logger="mfeit.initguess"):
+            guess = initial_guess(data, cfg.admissible)
+        assert not caplog.records
+        assert np.max(np.abs(guess[0] - 1.0)) < 1e-12
+        assert np.max(np.abs(guess[1] - 1.0)) < 1e-12

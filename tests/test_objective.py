@@ -261,6 +261,17 @@ class TestGradient:
         assert not outer.is_alive()
         assert out == [[[(0, 0), (0, 1)], [(1, 0), (1, 1)]]]
 
+    def test_pool_starts_no_more_workers_than_items(self, monkeypatch):
+        # 16 threads on 3 items: only workers an item runs on may start
+        import threading
+
+        monkeypatch.setenv("MFEIT_THREADS", "16")
+        before = set(threading.enumerate())
+        ran = map_frequencies(lambda k: threading.current_thread(), range(3))
+        assert len(set(ran)) == 3 and all(t.name.startswith("mfeit-freq") for t in ran)
+        started = [t for t in set(threading.enumerate()) - before if t.name.startswith("mfeit-freq")]
+        assert len(started) <= 3
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_invalid_thread_count_names_variable(self, monkeypatch, value):
         monkeypatch.setenv("MFEIT_THREADS", value)
