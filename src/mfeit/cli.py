@@ -107,7 +107,7 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
         return 2
 
     truth = _resolve_truth(cfg, data)
-    final, records = landweber_run(x0, data, cfg.landweber_config(), truth=truth)
+    final, records = landweber_run(x0, data, cfg.admissible, cfg.landweber_config(), truth=truth)
 
     out = _outdir(cfg, args)
     fieldio.write_field(os.path.join(out, "sigma_init"), x0[0], grid)

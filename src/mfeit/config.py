@@ -53,12 +53,7 @@ class RunConfig:
         return FrequencyGrid.uniform(self.omega_lo, self.omega_hi, self.n_freq)
 
     def landweber_config(self) -> LandweberConfig:
-        return LandweberConfig(
-            admissible=self.admissible,
-            mu=self.mu,
-            max_iters=self.max_iters,
-            stop_tol=self.stop_tol,
-        )
+        return LandweberConfig(mu=self.mu, max_iters=self.max_iters, stop_tol=self.stop_tol)
 
     def validate(self) -> None:
         if self.refinement not in (1, 2, 3):

@@ -61,7 +61,9 @@ def read_field(base: str) -> tuple[np.ndarray, dict]:
             meta[key.strip()] = value.strip()
     if "n" not in meta:
         raise ValueError(f"{base}.meta: no 'n' line")
-    n = int(meta["n"])
+    n = int(meta["n"]) if meta["n"].isascii() and meta["n"].isdigit() else 0
+    if n < 1:
+        raise ValueError(f"{base}.meta: n must be a positive integer, got {meta['n']!r}")
     raw = np.fromfile(base + ".f64", dtype="<f8")
     if meta.get("kind") == "complex":
         if raw.size != 2 * n * n:

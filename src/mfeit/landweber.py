@@ -8,20 +8,19 @@ raw iterates may transiently leave the admissible set.  The deviation
 introduced by the projection is recorded at every step.
 
 The loop sees only a ``GenericProblem`` (residual evaluation, adjoint
-direction, misfit, projection and inner product).  ``run`` is the
-reconstruction entry point: it resolves the automatic step size and runs
-the loop on ``admittivity_problem``, the multi-frequency misfit posed on
-admittivity fields, arrays of shape (2, n, n) holding sigma then eps.  The
-same loop is validated against a dense linear least-squares oracle.
+direction, misfit, projection, inner product and the automatic step-size
+rule).  ``run`` is the reconstruction entry point: the loop on
+``admittivity_problem``, the multi-frequency misfit posed on admittivity
+fields, arrays of shape (2, n, n) holding sigma then eps.  The same loop is
+validated against a dense linear least-squares oracle.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -59,15 +58,16 @@ LOG_EVERY = 10
 class LandweberConfig:
     """Iteration controls.
 
-    ``mu=None`` requests the automatic step size (``estimate_step_size``:
-    a Lanczos estimate of the squared derivative norm at the start iterate,
-    with a 0.9 safety factor).  ``stop_tol`` bounds the relative misfit
-    decrease over a 10-iteration window below which the run stops; zero
-    disables that rule and the loop runs the full ``max_iters``.  ``mu`` and
-    ``stop_tol`` must be finite, and ``max_iters`` a positive integer.
+    ``mu=None`` requests the problem's automatic step size
+    (``GenericProblem.step_size``; for the reconstruction
+    ``estimate_step_size``: a Lanczos estimate of the squared derivative
+    norm at the start iterate, with a 0.9 safety factor).  ``stop_tol``
+    bounds the relative misfit decrease over a 10-iteration window below
+    which the run stops; zero disables that rule and the loop runs the full
+    ``max_iters``.  ``mu`` and ``stop_tol`` must be finite, and
+    ``max_iters`` a positive integer.
     """
 
-    admissible: AdmissibleParams = field(default_factory=AdmissibleParams)
     mu: float | None = None
     max_iters: int = 200
     stop_tol: float = 1e-10
@@ -150,8 +150,10 @@ class GenericProblem:
     ``adjoint_step(residuals)`` the weighted adjoint-direction sum at the
     point the residuals were evaluated at (already including quadrature
     weights), ``misfit(residuals)`` the value of the functional there,
-    ``project`` the feasibility map and ``inner_x`` the inner product of
-    iterates used in the diagnostics.
+    ``project`` the feasibility map, ``inner_x`` the inner product of
+    iterates used in the diagnostics, and ``step_size(residuals)`` the
+    automatic step size from the residuals at the projected start iterate
+    (``None``: the problem has no such rule, so ``mu`` must be given).
     """
 
     residuals: Callable[[Any], list[Any]]
@@ -159,6 +161,7 @@ class GenericProblem:
     misfit: Callable[[list[Any]], float]
     project: Callable[[Any], Any] = lambda x: x
     inner_x: Callable[[Any, Any], float] = lambda a, b: float(np.real(np.vdot(np.asarray(b), np.asarray(a))))
+    step_size: Callable[[list[Any]], float] | None = None
 
 
 def admittivity_problem(data: Dataset, params: AdmissibleParams) -> GenericProblem:
@@ -167,7 +170,8 @@ def admittivity_problem(data: Dataset, params: AdmissibleParams) -> GenericProbl
     Iterates are arrays of shape (2, n, n), sigma then eps.  The residuals
     are the per-frequency forward states, so the adjoint direction (the
     gradient, in the same (2, n, n) layout) reuses their factorizations,
-    and ``inner_x`` is the L2 inner product over both components.
+    ``inner_x`` is the L2 inner product over both components, and
+    ``step_size`` is ``estimate_step_size`` on the start states.
     """
     grid = data.grid
     return GenericProblem(
@@ -176,6 +180,7 @@ def admittivity_problem(data: Dataset, params: AdmissibleParams) -> GenericProbl
         misfit=misfit_from_states,
         project=lambda x: project_T(grid, x, params),
         inner_x=lambda a, b: sum(grid.h * grid.h * float(np.sum(u * v)) for u, v in zip(a, b)),
+        step_size=lambda states: estimate_step_size(grid, states),
     )
 
 
@@ -217,28 +222,31 @@ def generic_run(
     x0,
     cfg: LandweberConfig,
     truth=None,
-    start: list | None = None,
 ) -> tuple[Any, list[IterationRecord]]:
     """Iterate ``step`` until ``max_iters`` or a misfit plateau.
 
-    The plateau stop over a 10-step window applies when ``cfg.stop_tol`` is
-    positive.  ``start``, when given, holds the residuals at
-    ``p.project(x0)``: the first step uses them, and the list is emptied
-    after that step, so they live no longer than it.  Returns the
-    projection of the final iterate together with the full trajectory.  On
-    solver failure the partial trajectory and the failing iteration are
-    attached to the raised error.
+    ``cfg.mu = None`` is resolved by ``p.step_size`` from the residuals at
+    ``p.project(x0)``; the first step reuses those residuals, which are
+    dropped after it.  The plateau stop over a 10-step window applies when
+    ``cfg.stop_tol`` is positive.  Returns the projection of the final
+    iterate together with the full trajectory.  On solver failure inside
+    the loop the partial trajectory and the failing iteration are attached
+    to the raised error.
     """
-    if cfg.mu is None:
-        raise ValueError("generic_run requires an explicit step size")
+    mu = cfg.mu
+    start = None
+    if mu is None:
+        if p.step_size is None:
+            raise ValueError("generic_run requires an explicit step size mu or a problem with a step_size rule")
+        start = p.residuals(p.project(x0))
+        mu = p.step_size(start)
+        logger.info("auto step size mu=%.4e", mu)
     records: list[IterationRecord] = []
     x = x0
     try:
         for it in range(1, cfg.max_iters + 1):
-            x, rec = step(p, x, cfg.mu, truth, res=start)
-            if start is not None:
-                start.clear()
-                start = None
+            x, rec = step(p, x, mu, truth, res=start)
+            start = None
             rec.n = it
             records.append(rec)
             if it % LOG_EVERY == 0:
@@ -258,20 +266,13 @@ def generic_run(
 def run(
     x0: np.ndarray,
     data: Dataset,
+    params: AdmissibleParams,
     cfg: LandweberConfig,
     truth: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[IterationRecord]]:
-    """Reconstruct from the field ``x0``: ``generic_run`` on ``admittivity_problem``.
+    """Reconstruct from the field ``x0`` in the constraint set ``params``.
 
-    ``x0``, ``truth`` and the returned field have shape (2, n, n).
-    ``cfg.mu = None`` is resolved first by ``estimate_step_size`` from the
-    forward states at the projected start iterate, which then serve the
-    first step.  Returns the projected final field and the trajectory.
+    ``generic_run`` on ``admittivity_problem``; ``x0``, ``truth`` and the
+    returned projected final field have shape (2, n, n).
     """
-    problem = admittivity_problem(data, cfg.admissible)
-    start = None
-    if cfg.mu is None:
-        start = problem.residuals(problem.project(x0))
-        cfg = dataclasses.replace(cfg, mu=estimate_step_size(data.grid, start))
-        logger.info("auto step size mu=%.4e", cfg.mu)
-    return generic_run(problem, x0, cfg, truth=truth, start=start)
+    return generic_run(admittivity_problem(data, params), x0, cfg, truth)

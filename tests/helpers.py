@@ -15,6 +15,7 @@ import scipy.sparse as sp
 
 from mfeit import PhantomSpec, Inclusion
 from mfeit.initguess import fold_imag, gamma_rhs
+from mfeit.admissible import AdmissibleParams
 from mfeit.landweber import GenericProblem, LandweberConfig, run
 from mfeit.mesh import Grid, face_diff_x, face_diff_y, h1_norm_sq, l2_norm_sq, laplacian
 from mfeit.objective import Dataset, FrequencyGrid, bump_profile, dF, forward_states
@@ -236,7 +237,7 @@ def pair_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
 def find_mu_safe(
     x0: np.ndarray,
     data: Dataset,
-    cfg: LandweberConfig,
+    params: AdmissibleParams,
     mu_start: float,
     n_check: int = 5,
     max_doublings: int = 12,
@@ -249,8 +250,8 @@ def find_mu_safe(
     mu = mu_start
     safe = None
     for _ in range(max_doublings):
-        trial = LandweberConfig(admissible=cfg.admissible, mu=mu, max_iters=n_check, stop_tol=0.0)
-        _, recs = run(x0, data, trial)
+        trial = LandweberConfig(mu=mu, max_iters=n_check, stop_tol=0.0)
+        _, recs = run(x0, data, params, trial)
         js = [r.J for r in recs]
         if all(b <= a * (1.0 + 1e-12) for a, b in zip(js, js[1:])):
             safe = mu

@@ -2,9 +2,11 @@
 
 ``bench/spans.py`` replaces each ``(module, attribute)`` of its ``TARGETS``
 with a timing wrapper and only reports a missing one, which silently empties
-the per-layer metric; ``bench/worker.py`` reads the phantom's fields by
-name.  These tests turn a renamed or deleted target, or a changed phantom
-return type, into one failure instead of a broken benchmark pass.
+the per-layer metric; a target bound at import time (a default argument or
+a captured reference) escapes the wrapper in the same silent way.
+``bench/worker.py`` reads the phantom's fields by name.  These tests turn a
+renamed, deleted or early-bound target, or a changed phantom return type,
+into one failure instead of a broken benchmark pass.
 """
 
 import importlib
@@ -13,9 +15,15 @@ import os
 
 import numpy as np
 
+import mfeit.landweber as lw
+from mfeit import RunConfig
 from mfeit.admissible import AdmissibleParams
+from mfeit.landweber import LandweberConfig
 from mfeit.mesh import build_grid
-from mfeit.phantom import Inclusion, PhantomSpec, make_phantom
+from mfeit.pde import constant_field
+from mfeit.phantom import Inclusion, PhantomSpec, make_phantom, synthesize_data
+
+from helpers import ONE_BUMP
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "spans.py")
 
@@ -41,3 +49,22 @@ def test_make_phantom_exposes_sigma_and_eps():
     assert field.shape == (2, 17, 17)
     assert np.array_equal(result.sigma, field[0])
     assert np.array_equal(result.eps, field[1])
+
+
+def test_run_calls_the_landweber_targets_by_name(monkeypatch):
+    # the step-size estimate and each step must go through the module
+    # attributes at call time, or ``landweber.step_size`` / ``landweber.step`` read empty
+    cfg = RunConfig(n=17, c0=0.2, n_freq=3, refinement=1, phantom=ONE_BUMP)
+    data = synthesize_data(cfg)
+    calls = {"estimate_step_size": 0, "step": 0}
+    for name in calls:
+        real = getattr(lw, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(lw, name, counting)
+    x0 = constant_field(data.grid, 1.0, 1.0)
+    lw.run(x0, data, cfg.admissible, LandweberConfig(mu=None, max_iters=2, stop_tol=0.0))
+    assert calls == {"estimate_step_size": 1, "step": 2}

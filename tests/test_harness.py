@@ -290,6 +290,19 @@ class TestDatasetValidation:
             fh.writelines(lines)
         self._rejects(path, data_dir, "u_000_c1", capsys)
 
+    @pytest.mark.parametrize("bad", ["17.0", "-3", "0"])
+    def test_field_meta_with_malformed_n(self, dataset, capsys, bad):
+        # each must be named at the .meta file, not at int() or at the .f64 size check
+        path, data_dir = dataset
+        meta = os.path.join(data_dir, "u_000_c1.meta")
+        with open(meta) as fh:
+            lines = [f"n = {bad}\n" if line.startswith("n =") else line for line in fh]
+        with open(meta, "w") as fh:
+            fh.writelines(lines)
+        assert main(["reconstruct", "--config", path, "--data", data_dir]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and f"{meta}: n must be a positive integer, got {bad!r}" in err
+
     def _edit_manifest(self, data_dir, edit):
         manifest = os.path.join(data_dir, "manifest.cfg")
         cp = configparser.ConfigParser()

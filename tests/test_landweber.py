@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -36,9 +38,9 @@ from helpers import (
 )
 
 
-def pde_step(x, data, lcfg, truth=None):
+def pde_step(x, data, params, mu, truth=None):
     """One ``step`` of the admittivity problem from the field ``x``."""
-    return step(admittivity_problem(data, lcfg.admissible), x, lcfg.mu, truth)
+    return step(admittivity_problem(data, params), x, mu, truth)
 
 
 @pytest.fixture(scope="module")
@@ -153,8 +155,7 @@ def test_step_size_estimate_failure_raises(bump17_states, monkeypatch, value):
 def test_step_fixed_point_at_consistent_background(constant_data):
     data, cfg = constant_data
     x = constant_field(data.grid, 1.0, 1.0)
-    lcfg = LandweberConfig(admissible=cfg.admissible, mu=1.0)
-    x1, rec = pde_step(x, data, lcfg)
+    x1, rec = pde_step(x, data, cfg.admissible, 1.0)
     assert pair_distance(data.grid, x1, x) <= 1e-9
     assert rec.J <= 1e-18
     assert rec.grad_norm <= 1e-12
@@ -164,8 +165,7 @@ def test_step_mu_zero_returns_projection(bump_setup):
     data, cfg, _, x0 = bump_setup
     wild = constant_field(data.grid, 1.0, 1.0)
     wild[0] += 0.5  # constant offset violates the support constraint
-    lcfg = LandweberConfig(admissible=cfg.admissible, mu=1e-300)
-    x1, rec = pde_step(wild, data, lcfg)
+    x1, rec = pde_step(wild, data, cfg.admissible, 1e-300)
     projected = project_T(data.grid, wild, cfg.admissible)
     assert pair_distance(data.grid, x1, projected) < 1e-250
     assert rec.proj_dev == pytest.approx(pair_distance(data.grid, projected, wild), rel=1e-12)
@@ -175,17 +175,16 @@ def test_step_descends_from_background(bump_setup):
     data, cfg, _, _ = bump_setup
     x0 = constant_field(data.grid, 1.0, 1.0)
     mu = estimate_step_size(data.grid, forward_states(project_T(data.grid, x0, cfg.admissible), data))
-    safe = find_mu_safe(x0, data, LandweberConfig(admissible=cfg.admissible), mu_start=mu)
-    lcfg = LandweberConfig(admissible=cfg.admissible, mu=safe, max_iters=2, stop_tol=0.0)
-    _, recs = run(x0, data, lcfg)
+    safe = find_mu_safe(x0, data, cfg.admissible, mu_start=mu)
+    lcfg = LandweberConfig(mu=safe, max_iters=2, stop_tol=0.0)
+    _, recs = run(x0, data, cfg.admissible, lcfg)
     assert recs[1].J < recs[0].J
 
 
 def test_step_deterministic(bump_setup):
     data, cfg, truth, x0 = bump_setup
-    lcfg = LandweberConfig(admissible=cfg.admissible, mu=1.0)
-    a1, r1 = pde_step(x0, data, lcfg, truth=truth)
-    a2, r2 = pde_step(x0, data, lcfg, truth=truth)
+    a1, r1 = pde_step(x0, data, cfg.admissible, 1.0, truth=truth)
+    a2, r2 = pde_step(x0, data, cfg.admissible, 1.0, truth=truth)
     assert np.array_equal(a1, a2)
     assert r1 == r2
 
@@ -193,8 +192,8 @@ def test_step_deterministic(bump_setup):
 def test_run_terminates_quickly_on_constant_data(constant_data):
     data, cfg = constant_data
     x0 = constant_field(data.grid, 1.0, 1.0)
-    lcfg = LandweberConfig(admissible=cfg.admissible, mu=1.0, max_iters=50)
-    _, recs = run(x0, data, lcfg)
+    lcfg = LandweberConfig(mu=1.0, max_iters=50)
+    _, recs = run(x0, data, cfg.admissible, lcfg)
     assert len(recs) <= 11
 
 
@@ -202,16 +201,16 @@ def test_run_monotone_at_frozen_safe_step(bump_setup):
     # mu_safe found by doubling on this configuration (violation at 2.8) and
     # frozen at 1.4 for a 15-iteration window
     data, cfg, _, x0 = bump_setup
-    lcfg = LandweberConfig(admissible=cfg.admissible, mu=1.4, max_iters=15, stop_tol=0.0)
-    _, recs = run(x0, data, lcfg)
+    lcfg = LandweberConfig(mu=1.4, max_iters=15, stop_tol=0.0)
+    _, recs = run(x0, data, cfg.admissible, lcfg)
     js = np.array([r.J for r in recs])
     assert np.all(np.diff(js) <= js[:-1] * 1e-9)
 
 
 def test_run_reduces_error_from_initial_guess(bump_setup):
     data, cfg, truth, x0 = bump_setup
-    lcfg = LandweberConfig(admissible=cfg.admissible, mu=None, max_iters=60, stop_tol=0.0)
-    final, recs = run(x0, data, lcfg, truth=truth)
+    lcfg = LandweberConfig(mu=None, max_iters=60, stop_tol=0.0)
+    final, recs = run(x0, data, cfg.admissible, lcfg, truth=truth)
     assert rel_interior_err(data.grid, final, truth) <= 0.5 * rel_interior_err(data.grid, x0, truth)
     assert len(recs) == 60
     assert recs[0].n == 1 and recs[-1].n == 60
@@ -220,14 +219,14 @@ def test_run_reduces_error_from_initial_guess(bump_setup):
 
 def test_trajectory_records_projection_deviation(bump_setup):
     data, cfg, _, x0 = bump_setup
-    lcfg = LandweberConfig(admissible=cfg.admissible, mu=1.0, max_iters=3, stop_tol=0.0)
-    _, recs = run(x0, data, lcfg)
+    lcfg = LandweberConfig(mu=1.0, max_iters=3, stop_tol=0.0)
+    _, recs = run(x0, data, cfg.admissible, lcfg)
     assert all(r.proj_dev >= 0.0 for r in recs)
     # an infeasible start shows up as a much larger recorded deviation than
     # the already-projected initial guess does
     far = constant_field(data.grid, 1.0, 1.0)
     far[0] += 1.0
-    _, recs_far = run(far, data, lcfg)
+    _, recs_far = run(far, data, cfg.admissible, lcfg)
     assert recs_far[0].proj_dev > 100 * recs[0].proj_dev
 
 
@@ -246,9 +245,9 @@ def test_run_solver_failure_keeps_partial_trajectory(bump_setup, monkeypatch):
         return real(a, d)
 
     monkeypatch.setattr(lw, "forward_states", flaky)
-    lcfg = LandweberConfig(admissible=cfg.admissible, mu=1.0, max_iters=10, stop_tol=0.0)
+    lcfg = LandweberConfig(mu=1.0, max_iters=10, stop_tol=0.0)
     with pytest.raises(SolverError) as excinfo:
-        run(x0, data, lcfg)
+        run(x0, data, cfg.admissible, lcfg)
     assert len(excinfo.value.trajectory) == 2
     assert excinfo.value.iteration == 3
 
@@ -295,6 +294,40 @@ class TestGenericEngine:
         xf, recs = generic_run(problem, x0, LandweberConfig(mu=mu, max_iters=5, stop_tol=0.0))
         assert np.array_equal(xf, x0)
         assert recs[0].J == 0.0
+
+    def test_automatic_step_size_matches_explicit_mu(self):
+        problem, x_star, mu, _ = linear_oracle()
+        auto = dataclasses.replace(problem, step_size=lambda res: mu)
+        x_auto, r_auto = generic_run(auto, np.zeros(5), LandweberConfig(mu=None, max_iters=50, stop_tol=0.0),
+                                     truth=x_star)
+        x_mu, r_mu = generic_run(problem, np.zeros(5), LandweberConfig(mu=mu, max_iters=50, stop_tol=0.0),
+                                 truth=x_star)
+        assert np.array_equal(x_auto, x_mu)
+        assert r_auto == r_mu
+
+    def test_automatic_step_size_reuses_then_drops_start_residuals(self):
+        problem, _, mu, _ = linear_oracle()
+        first: list[weakref.ref] = []
+        start_alive: list[bool] = []
+
+        def residuals(x):
+            if first:
+                start_alive.append(first[0]() is not None)
+            res = problem.residuals(x)
+            if not first:
+                first.append(weakref.ref(res[0]))
+            return res
+
+        counted = dataclasses.replace(problem, residuals=residuals, step_size=lambda res: mu)
+        generic_run(counted, np.zeros(5), LandweberConfig(mu=None, max_iters=4, stop_tol=0.0))
+        # one evaluation per step: the start residuals serve step 1 and are freed after it
+        assert len(first) + len(start_alive) == 4
+        assert start_alive == [False, False, False]
+
+    def test_automatic_step_size_needs_a_rule(self):
+        problem, _, _, _ = linear_oracle()
+        with pytest.raises(ValueError, match="step_size"):
+            generic_run(problem, np.zeros(5), LandweberConfig(mu=None, max_iters=1))
 
     def test_adjoint_consistency_probe(self):
         problem, _, _, derivative = linear_oracle()
