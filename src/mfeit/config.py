@@ -17,7 +17,7 @@ from operator import attrgetter
 from .admissible import AdmissibleParams
 from .fieldio import format_number
 from .landweber import LandweberConfig
-from .mesh import Grid, build_grid
+from .mesh import Grid, build_grid, require_int
 from .objective import FrequencyGrid
 from .phantom import Inclusion, PhantomSpec
 from .properbc import DEFAULT_LAMBDA_MIN
@@ -56,22 +56,22 @@ class RunConfig:
         return LandweberConfig(mu=self.mu, max_iters=self.max_iters, stop_tol=self.stop_tol)
 
     def validate(self) -> None:
-        if self.refinement not in (1, 2, 3):
-            raise ConfigError(f"[data] refinement must be 1, 2, or 3, got {self.refinement}")
         if self.x0 not in ("initguess", "background"):
             raise ConfigError(f"[landweber] x0 must be 'initguess' or 'background', got {self.x0!r}")
         if self.noise_level < 0.0:
             raise ConfigError("[noise] level must be nonnegative")
-        if self.noise_seed < 0:
-            raise ConfigError(f"[noise] seed must be nonnegative, got {self.noise_seed}")
-        if self.n_freq < 1:
-            raise ConfigError("[frequencies] count must be at least 1")
         try:
+            # a config file gives int() values, but the Python API can pass a bool or a float
+            require_int("[data] refinement", self.refinement, 1)
+            require_int("[noise] seed", self.noise_seed, 0)
+            require_int("[frequencies] count", self.n_freq, 1)
             self.build_grid()
             self.frequency_grid()
             self.landweber_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.refinement > 3:
+            raise ConfigError(f"[data] refinement must be 1, 2, or 3, got {self.refinement}")
 
 
 #: The file format: section -> key -> ``RunConfig`` attribute, in file order.

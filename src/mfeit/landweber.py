@@ -5,7 +5,8 @@ projects the incoming iterate, evaluates the residuals and the adjoint
 direction at the projected point, and takes a raw gradient step; the
 projection of the new iterate happens at the start of the *next* step, so
 raw iterates may transiently leave the admissible set.  The deviation
-introduced by the projection is recorded at every step.
+introduced by the projection and the size of the step are recorded at every
+step, and the loop stops on the size of its last step.
 
 The loop sees only a ``GenericProblem`` (residual evaluation, adjoint
 direction, misfit, projection, inner product and the automatic step-size
@@ -19,14 +20,13 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from .admissible import AdmissibleParams, project_T
-from .mesh import Grid
+from .mesh import Grid, require_int
 from .objective import (
     Dataset,
     ForwardState,
@@ -47,9 +47,6 @@ LANCZOS_STEPS = 4
 #: Relative size of the Lanczos residual below which the Krylov space is invariant.
 LANCZOS_BREAKDOWN = 1e-12
 
-#: Length of the relative-decrease plateau window of the stopping rule.
-PLATEAU_WINDOW = 10
-
 #: Iterations between two progress lines of the verbose log.
 LOG_EVERY = 10
 
@@ -61,16 +58,16 @@ class LandweberConfig:
     ``mu=None`` requests the problem's automatic step size
     (``GenericProblem.step_size``; for the reconstruction
     ``estimate_step_size``: a Lanczos estimate of the squared derivative
-    norm at the start iterate, with a 0.9 safety factor).  ``stop_tol``
-    bounds the relative misfit decrease over a 10-iteration window below
-    which the run stops; zero disables that rule and the loop runs the full
-    ``max_iters``.  ``mu`` and ``stop_tol`` must be finite, and
-    ``max_iters`` a positive integer.
+    norm at the start iterate, with a 0.9 safety factor).  The run stops
+    after the first step whose size ``step_norm`` is below ``stop_tol``
+    times the norm of the new iterate; the comparison is strict, so zero
+    runs the full ``max_iters``.  ``mu`` and ``stop_tol`` must be finite,
+    and ``max_iters`` a positive integer.
     """
 
     mu: float | None = None
     max_iters: int = 200
-    stop_tol: float = 1e-10
+    stop_tol: float = 3e-8
 
     def __post_init__(self):
         # NaN passes every comparison below, so non-finite values are named first.
@@ -79,8 +76,7 @@ class LandweberConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.mu is not None and self.mu <= 0.0:
             raise ValueError("step size mu must be positive")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
+        require_int("max_iters", self.max_iters, 1)
         if self.stop_tol < 0.0:
             raise ValueError("stop_tol must be nonnegative")
 
@@ -92,6 +88,7 @@ class IterationRecord:
     grad_norm: float
     err_to_truth: float
     proj_dev: float
+    step_norm: float
 
 
 def estimate_step_size(grid: Grid, states: list[ForwardState]) -> float:
@@ -184,37 +181,32 @@ def admittivity_problem(data: Dataset, params: AdmissibleParams) -> GenericProbl
     )
 
 
-def step(p: GenericProblem, x, mu: float, truth=None, res=None) -> tuple[Any, IterationRecord]:
+def _norm(p: GenericProblem, v) -> float:
+    return math.sqrt(p.inner_x(v, v))
+
+
+def _project_and_evaluate(p: GenericProblem, x) -> tuple[Any, list[Any]]:
+    xp = p.project(x)
+    return xp, p.residuals(xp)
+
+
+def step(p: GenericProblem, x, mu: float, truth=None, start=None) -> tuple[Any, IterationRecord]:
     """One projected Landweber step from the raw iterate ``x``.
 
-    ``res``, when given, are the residuals at ``p.project(x)``, already
-    evaluated by the caller.  Returns the raw next iterate (projection
-    happens at the start of the following step) plus the diagnostics
-    record, numbered 0.  Solver failures propagate and leave ``x``
-    untouched.
+    ``start``, when given, is the pair ``(p.project(x), residuals there)``,
+    already evaluated by the caller.  Returns the raw next iterate
+    (projection happens at the start of the following step) plus the
+    diagnostics record, numbered 0, whose ``step_norm`` is the distance
+    from ``x`` to the next iterate.  Solver failures propagate and leave
+    ``x`` untouched.
     """
-
-    def norm_x(v) -> float:
-        return math.sqrt(p.inner_x(v, v))
-
-    xp = p.project(x)
-    if res is None:
-        res = p.residuals(xp)
-    j_val = p.misfit(res)
+    xp, res = start if start is not None else _project_and_evaluate(p, x)
     direction = p.adjoint_step(res)
     x_next = xp - mu * direction
-    err = norm_x(x_next - truth) if truth is not None else float("nan")
-    return x_next, IterationRecord(0, j_val, norm_x(direction), err, norm_x(xp - x))
-
-
-def _plateau_reached(records: list[IterationRecord], stop_tol: float) -> bool:
-    if stop_tol <= 0.0 or len(records) <= PLATEAU_WINDOW:
-        return False
-    j_old = records[-1 - PLATEAU_WINDOW].J
-    j_new = records[-1].J
-    if j_old <= 0.0:
-        return True
-    return (j_old - j_new) < stop_tol * j_old
+    err = _norm(p, x_next - truth) if truth is not None else float("nan")
+    return x_next, IterationRecord(
+        0, p.misfit(res), _norm(p, direction), err, _norm(p, xp - x), _norm(p, x_next - x)
+    )
 
 
 def generic_run(
@@ -223,38 +215,42 @@ def generic_run(
     cfg: LandweberConfig,
     truth=None,
 ) -> tuple[Any, list[IterationRecord]]:
-    """Iterate ``step`` until ``max_iters`` or a misfit plateau.
+    """Iterate ``step`` until ``max_iters`` or a small step.
 
     ``cfg.mu = None`` is resolved by ``p.step_size`` from the residuals at
-    ``p.project(x0)``; the first step reuses those residuals, which are
-    dropped after it.  The plateau stop over a 10-step window applies when
-    ``cfg.stop_tol`` is positive.  Returns the projection of the final
-    iterate together with the full trajectory.  On solver failure inside
-    the loop the partial trajectory and the failing iteration are attached
-    to the raised error.
+    ``p.project(x0)``; the first step reuses that projection and those
+    residuals, which are dropped after it.  The run stops after the first
+    step whose ``step_norm`` is below ``cfg.stop_tol`` times the norm of
+    the new iterate (both in ``p.inner_x``); the rule reads only that
+    step, and ``stop_tol = 0`` never fires.  Returns the projection of the
+    final iterate together with the full trajectory.  On solver failure
+    inside the loop the partial trajectory and the failing iteration are
+    attached to the raised error.
     """
     mu = cfg.mu
     start = None
     if mu is None:
         if p.step_size is None:
             raise ValueError("generic_run requires an explicit step size mu or a problem with a step_size rule")
-        start = p.residuals(p.project(x0))
-        mu = p.step_size(start)
+        start = _project_and_evaluate(p, x0)
+        mu = p.step_size(start[1])
         logger.info("auto step size mu=%.4e", mu)
     records: list[IterationRecord] = []
     x = x0
     try:
         for it in range(1, cfg.max_iters + 1):
-            x, rec = step(p, x, mu, truth, res=start)
+            x, rec = step(p, x, mu, truth, start)
             start = None
             rec.n = it
             records.append(rec)
             if it % LOG_EVERY == 0:
                 logger.info(
-                    "iter %4d  J=%.6e  |g|=%.3e  proj_dev=%.3e", it, rec.J, rec.grad_norm, rec.proj_dev
+                    "iter %4d  J=%.6e  |g|=%.3e  step_norm=%.3e  proj_dev=%.3e",
+                    it, rec.J, rec.grad_norm, rec.step_norm, rec.proj_dev,
                 )
-            if _plateau_reached(records, cfg.stop_tol):
-                logger.info("misfit plateau stop at iteration %d", it)
+            x_norm = _norm(p, x)
+            if rec.step_norm < cfg.stop_tol * x_norm:
+                logger.info("step stop at iteration %d: step_norm/|x| = %.3e", it, rec.step_norm / x_norm)
                 break
     except SolverError as exc:
         exc.trajectory = records

@@ -25,6 +25,7 @@ Two families of difference operators live here:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,15 +83,24 @@ class Grid:
         return np.minimum.reduce([self.X, 1.0 - self.X, self.Y, 1.0 - self.Y])
 
 
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer of at least ``minimum``.
+
+    A ``bool`` is rejected, although Python counts it as an integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
 def build_grid(n: int, c0: float) -> Grid:
     """Construct the uniform grid.
 
-    Rejects ``n < 9`` (difference stencils degenerate), ``c0`` outside
-    ``(0, 0.5)`` (empty or meaningless interior region), and an ``(n, c0)``
-    whose interior region holds no node.
+    Rejects an ``n`` that is not an integer of at least 9 (difference
+    stencils degenerate), ``c0`` outside ``(0, 0.5)`` (empty or
+    meaningless interior region), and an ``(n, c0)`` whose interior region
+    holds no node.
     """
-    if n < 9:
-        raise ValueError(f"grid needs n >= 9 nodes per side, got n={n}")
+    require_int("grid size n", n, 9)
     if not (0.0 < c0 < 0.5):
         raise ValueError(f"interior margin must satisfy 0 < c0 < 0.5, got c0={c0}")
     h = 1.0 / (n - 1)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Grid, face_diff_x, face_diff_y, h1_norm_sq, laplacian
+from .mesh import Grid, face_diff_x, face_diff_y, h1_norm_sq, laplacian, require_int
 from .pde import EllipticOperator, apply_div_coeff_grad, assemble, map_frequencies, solve_dirichlet
 
 
@@ -80,8 +80,7 @@ class FrequencyGrid:
 
     @classmethod
     def uniform(cls, omega_lo: float, omega_hi: float, count: int) -> "FrequencyGrid":
-        if count < 1:
-            raise ValueError("need at least one frequency node")
+        require_int("frequency count", count, 1)
         length = omega_hi - omega_lo
         if count == 1:
             nodes = np.array([0.5 * (omega_lo + omega_hi)])

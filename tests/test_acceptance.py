@@ -244,9 +244,15 @@ def test_criterion_7_trajectory_matches_reference(e2e_outputs):
     for name, rtol in (("J", 1e-9), ("grad_norm", 1e-9), ("proj_dev", 1e-9), ("err_to_truth", 1e-8)):
         worst[name] = float(np.max(np.abs(got[name] - ref[name]) / np.abs(ref[name])))
         assert worst[name] <= rtol, (name, worst[name])
+    # the step falls from 3e-3 to 4e-15, so late steps are round-off of the iterate and only an
+    # absolute bound holds: err_to_truth's 1e-8 of 5e-4 lets each iterate move by about 5e-12,
+    # so a step between two of them by about 1e-11 (3e-9 of the first step)
+    step_dev = float(np.max(np.abs(got["step_norm"] - ref["step_norm"])))
+    assert step_dev <= 1e-11, step_dev
     _report(
         "criterion 7 (reference trajectory)",
-        ", ".join(f"{name} within {value:.1e}" for name, value in worst.items()) + " relative",
+        ", ".join(f"{name} within {value:.1e}" for name, value in worst.items())
+        + f" relative, step_norm within {step_dev:.1e} absolute",
     )
 
 

@@ -21,8 +21,9 @@ from mfeit.fieldio import (
     write_field_csv,
     write_trajectory_csv,
 )
-from mfeit.landweber import IterationRecord
+from mfeit.landweber import IterationRecord, LandweberConfig
 from mfeit.mesh import build_grid, l2_norm_sq
+from mfeit.objective import FrequencyGrid
 from mfeit import pde
 from mfeit.pde import blas_thread_controls, map_frequencies
 from mfeit.phantom import add_noise, make_phantom, phantom_id, synthesize_data
@@ -230,12 +231,13 @@ class TestFieldIO:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_trajectory_columns_are_the_record_fields(self, tmp_path):
-        records = [IterationRecord(1, 0.5, 1e-300, 0.1, 0.0), IterationRecord(2, 0.25, 3.0, np.float64(0.05), -0.0)]
+        records = [IterationRecord(1, 0.5, 1e-300, 0.1, 0.0, 0.25),
+                   IterationRecord(2, 0.25, 3.0, np.float64(0.05), -0.0, 1e-17)]
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(str(path), records)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0].split(",") == [f.name for f in dataclasses.fields(IterationRecord)]
-        assert lines[1:] == ["1,0.5,1e-300,0.1,0.0", "2,0.25,3.0,0.05,-0.0"]
+        assert lines[1:] == ["1,0.5,1e-300,0.1,0.0,0.25", "2,0.25,3.0,0.05,-0.0,1e-17"]
 
 
 
@@ -530,6 +532,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config_text(text)
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: LandweberConfig(max_iters=True), "max_iters"),
+            (lambda: RunConfig(n=17.0).validate(), "grid size n"),
+            (lambda: RunConfig(n_freq=True).validate(), r"\[frequencies\] count"),
+            (lambda: RunConfig(refinement=True).validate(), r"\[data\] refinement"),
+            (lambda: RunConfig(noise_seed=1.5).validate(), r"\[noise\] seed"),
+            (lambda: FrequencyGrid.uniform(1.0, 2.0, 2.5), "frequency count"),
+        ],
+        ids=["max_iters-bool", "n-float", "n_freq-bool", "refinement-bool", "noise_seed-float", "count-float"],
+    )
+    def test_bool_or_non_integer_setting_names_field(self, build, name):
+        # a bool is an Integral to Python, and a float count would fail later in range() or linspace()
+        with pytest.raises(ValueError, match=name + " must be an integer"):
+            build()
+
     def test_malformed_inclusion_line(self):
         with pytest.raises(ConfigError, match="inclusions"):
             parse_config_text("[phantom]\ninclusions =\n    0.5 0.5 0.15\n")
@@ -643,7 +662,8 @@ class TestCli:
         assert main(["reconstruct", "--config", path, "--data", os.path.join(out, "dataset")]) == 0
         captured = capsys.readouterr().out
         iters = int(captured.split("finished after")[1].split()[0])
-        assert iters <= 11
+        # the data are the background's, so the first step is round-off (about 1e-15 of |x|)
+        assert iters == 1
         assert os.path.exists(os.path.join(out, "trajectory.csv"))
 
     def test_check_gradient_passes(self, tmp_path, capsys):

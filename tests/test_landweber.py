@@ -294,6 +294,31 @@ class TestGenericEngine:
         xf, recs = generic_run(problem, x0, LandweberConfig(mu=mu, max_iters=5, stop_tol=0.0))
         assert np.array_equal(xf, x0)
         assert recs[0].J == 0.0
+        # the stop is strict: a step of exactly zero does not end a stop_tol = 0 run
+        assert len(recs) == 5 and recs[-1].step_norm == 0.0
+
+    @pytest.mark.parametrize("stop_tol", [0.0, 1e-3, 1e-8])
+    def test_stops_after_first_small_step(self, stop_tol):
+        problem, x_star, mu, _ = linear_oracle()
+        max_iters = 1000
+        lcfg = LandweberConfig(mu=mu, max_iters=max_iters, stop_tol=stop_tol)
+        _, recs = generic_run(problem, np.zeros(5), lcfg, truth=x_star)
+        # replay the steps: record k holds |x_k - x_{k-1}|, compared with stop_tol |x_k|
+        def norm(v):
+            return math.sqrt(problem.inner_x(v, v))
+
+        x, first_small = np.zeros(5), None
+        for k, rec in enumerate(recs, start=1):
+            x_prev, (x, replayed) = x, step(problem, x, mu, x_star)
+            replayed.n = k
+            assert rec == replayed
+            assert rec.step_norm == norm(x - x_prev)
+            if first_small is None and rec.step_norm < stop_tol * norm(x):
+                first_small = k
+        if stop_tol == 0.0:
+            assert first_small is None and len(recs) == max_iters
+        else:
+            assert first_small == len(recs) < max_iters
 
     def test_automatic_step_size_matches_explicit_mu(self):
         problem, x_star, mu, _ = linear_oracle()
@@ -318,11 +343,19 @@ class TestGenericEngine:
                 first.append(weakref.ref(res[0]))
             return res
 
-        counted = dataclasses.replace(problem, residuals=residuals, step_size=lambda res: mu)
+        projections = []
+
+        def project(x):
+            projections.append(1)
+            return x
+
+        counted = dataclasses.replace(problem, residuals=residuals, project=project, step_size=lambda res: mu)
         generic_run(counted, np.zeros(5), LandweberConfig(mu=None, max_iters=4, stop_tol=0.0))
         # one evaluation per step: the start residuals serve step 1 and are freed after it
         assert len(first) + len(start_alive) == 4
         assert start_alive == [False, False, False]
+        # the start is projected once for the step size and step 1, then steps 2-4 and the result
+        assert len(projections) == 5
 
     def test_automatic_step_size_needs_a_rule(self):
         problem, _, _, _ = linear_oracle()
