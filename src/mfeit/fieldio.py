@@ -124,9 +124,9 @@ def read_dataset(directory: str) -> Dataset:
     """
     cp = configparser.ConfigParser()
     manifest = os.path.join(directory, "manifest.cfg")
-    if not cp.read(manifest, encoding="utf-8"):
-        raise FileNotFoundError(f"no dataset manifest at {manifest}")
     try:
+        if not cp.read(manifest, encoding="utf-8"):
+            raise FileNotFoundError(f"no dataset manifest at {manifest}")
         grid = build_grid(cp.getint("grid", "n"), cp.getfloat("grid", "c0"))
         nodes = np.array([float(v) for v in cp.get("frequencies", "nodes").split()])
         weights = np.array([float(v) for v in cp.get("frequencies", "weights").split()])

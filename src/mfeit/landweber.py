@@ -198,15 +198,20 @@ def step(p: GenericProblem, x, mu: float, truth=None, start=None) -> tuple[Any, 
     (projection happens at the start of the following step) plus the
     diagnostics record, numbered 0, whose ``step_norm`` is the distance
     from ``x`` to the next iterate.  Solver failures propagate and leave
-    ``x`` untouched.
+    ``x`` untouched.  When the next iterate, the direction, the step or
+    the error to ``truth`` has no finite norm, the iteration has diverged:
+    SolverError is raised, and no overflow warning or non-finite record
+    comes first.
     """
     xp, res = start if start is not None else _project_and_evaluate(p, x)
     direction = p.adjoint_step(res)
-    x_next = xp - mu * direction
-    err = _norm(p, x_next - truth) if truth is not None else float("nan")
-    return x_next, IterationRecord(
-        0, p.misfit(res), _norm(p, direction), err, _norm(p, xp - x), _norm(p, x_next - x)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_next = xp - mu * direction
+        norms = [_norm(p, v) for v in (x_next, direction, xp - x, x_next - x)]
+        err = _norm(p, x_next - truth) if truth is not None else float("nan")
+    if not all(math.isfinite(v) for v in norms) or math.isinf(err):  # err is NaN without a truth
+        raise SolverError("the iteration diverged: the new iterate or its step has no finite norm; try a smaller mu")
+    return x_next, IterationRecord(0, p.misfit(res), norms[1], err, norms[2], norms[3])
 
 
 def generic_run(
@@ -224,8 +229,9 @@ def generic_run(
     the new iterate (both in ``p.inner_x``); the rule reads only that
     step, and ``stop_tol = 0`` never fires.  Returns the projection of the
     final iterate together with the full trajectory.  On solver failure
-    inside the loop the partial trajectory and the failing iteration are
-    attached to the raised error.
+    inside the loop, a diverged iterate included (see ``step``), the
+    partial trajectory and the failing iteration are attached to the
+    raised error.
     """
     mu = cfg.mu
     start = None

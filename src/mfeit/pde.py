@@ -7,14 +7,15 @@ identity rows in the full system.
 
 The full system is never built.  Its sparsity depends only on the grid
 size, so ``operator_pattern`` computes it once per n, and ``assemble``
-only gathers the face couplings into two matrices: the interior block
-``A_II`` (Dirichlet rows and columns removed) and the boundary coupling
-``A_IB`` (interior rows, boundary columns).  The block is factored with
-SuperLU under a minimum-degree ordering of ``A^T + A``, which roughly
-halves the fill of factoring the full system.  One factorization per
-(coefficient, frequency) pair is cached on the operator and shared by every
-right-hand side, including the adjoint problem, whose matrix is the same
-because the operator is complex-symmetric rather than Hermitian.
+only gathers the face couplings into the values of two matrices: the
+interior block ``A_II`` (Dirichlet rows and columns removed) and the
+boundary coupling ``A_IB`` (interior rows, boundary columns).  The block
+is factored with SuperLU under a minimum-degree ordering of ``A^T + A``,
+which roughly halves the fill of factoring the full system.  One
+factorization per (coefficient, frequency) pair is cached on the operator
+and shared by every right-hand side, including the adjoint problem, whose
+matrix is the same because the operator is complex-symmetric rather than
+Hermitian.
 ``solve_dirichlet`` takes one or several columns at once, stacked on the
 leading axis, and works on the interior unknowns only: the boundary values
 enter once, through ``A_IB``.  Every column must meet the ``SOLVE_RTOL``
@@ -50,6 +51,17 @@ so ``init-guess`` factors nothing.  The transform sits in the operator's
 factor slot, and the solve runs through ``solve_dirichlet``'s gate and
 refinement like every other.
 
+scipy supplies compiled code only: SuperLU, the engine of
+``scipy.sparse.linalg.splu``, called by ``factor``, and the sparse
+matrix-vector kernels of ``scipy.sparse``, called by ``OperatorPattern``.
+``_scipy_extension`` loads both from their files, so importing this module
+imports none of ``scipy.sparse``, ``scipy.sparse.linalg`` or
+``scipy.linalg``, whose Python layers took about 0.27 s and 29 MiB at
+every start of a CLI command (medians of 9 process starts, 2-core VM).
+The calls are the ones ``splu`` and the matrices' ``@`` make, so results
+keep their bits.  The dense products of the shifted sweep are numpy
+``matmul`` calls on numpy's OpenBLAS.
+
 A pair of quantities is a plain array with the component on the leading
 axis.  The admittivity field is one of shape (2, n, n), sigma then eps,
 passed together with its ``Grid``.  Traces have shape (2, nb) and
@@ -74,16 +86,16 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.blas import zgemm
 
 from .mesh import Grid
 
@@ -118,6 +130,40 @@ _pool: list[ThreadPoolExecutor] = []
 _pool_lock = threading.Lock()
 
 
+def _scipy_extension(name: str):
+    """The compiled module ``scipy.<name>``, loaded from its file inside the installed scipy.
+
+    No scipy package ``__init__`` runs, so the Python layers of
+    ``scipy.sparse`` and ``scipy.linalg`` are never imported.  The module is
+    registered under its dotted name, so a later ``import scipy.sparse`` in
+    the same process takes this module object and does not initialise the
+    extension again; one already imported is taken as it is.  A missing
+    file raises an ImportError naming the installed scipy version.
+    """
+    dotted = "scipy." + name
+    if dotted in sys.modules:
+        return sys.modules[dotted]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError(f"mfeit needs scipy's compiled module {dotted}, and scipy is not installed")
+    base = os.path.join(spec.submodule_search_locations[0], *name.split("."))
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(base + suffix):
+            loader = importlib.machinery.ExtensionFileLoader(dotted, base + suffix)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(dotted, loader))
+            loader.exec_module(module)
+            sys.modules[dotted] = module
+            return module
+    from importlib.metadata import version
+
+    raise ImportError(f"mfeit needs the compiled module {dotted}, which scipy {version('scipy')} does not have")
+
+
+#: SuperLU (``scipy.sparse.linalg.splu``'s engine) and scipy's sparse kernels.
+_superlu = _scipy_extension("sparse.linalg._dsolve._superlu")
+_sparsetools = _scipy_extension("sparse._sparsetools")
+
+
 class SolverError(RuntimeError):
     """Linear solve failed or exceeded the residual tolerance."""
 
@@ -147,6 +193,13 @@ class OperatorPattern:
     of shape (m, 5) whose columns are (-x, -y, diagonal, +y, +x).  Because
     ``A_II`` is complex-symmetric, column p of the block holds exactly the
     values of row p.
+
+    ``block_product`` and ``coupling_product`` multiply by a matrix of this
+    pattern given its values.  They call scipy's compiled ``csc_matvec`` and
+    ``csr_matvec``, which add the product into a zeroed output as scipy's
+    own ``A @ x`` does, so both match it bit for bit.  (A product gathered
+    from the value table with numpy was 1.5e-11 off for a complex table,
+    and six times slower once made exact with real arithmetic.)
     """
 
     inner: np.ndarray
@@ -157,6 +210,18 @@ class OperatorPattern:
     coupling_indptr: np.ndarray
     coupling_indices: np.ndarray
     coupling_take: np.ndarray
+
+    def block_product(self, data: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out = A_II x`` for the CSC values ``data`` of an interior block; returns ``out``."""
+        out.fill(0)
+        _sparsetools.csc_matvec(len(out), len(x), self.block_indptr, self.block_indices, data, x, out)
+        return out
+
+    def coupling_product(self, data: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out = A_IB x`` for the CSR values ``data`` of a boundary coupling; returns ``out``."""
+        out.fill(0)
+        _sparsetools.csr_matvec(len(out), len(x), self.coupling_indptr, self.coupling_indices, data, x, out)
+        return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,36 +254,57 @@ def operator_pattern(n: int) -> OperatorPattern:
 
 @dataclass
 class EllipticOperator:
-    """Interior block ``A_II`` (CSC) and boundary coupling ``A_IB`` (CSR) of one operator.
+    """Interior block ``A_II`` and boundary coupling ``A_IB`` of one operator.
 
-    The boundary rows of the full system are identity rows, so the interior
-    unknowns satisfy ``A_II x_I = b_I - A_IB bc``.  ``norm`` is the infinity
-    norm of the full system, ``max(1, interior row sums of |A|)``.  The LU
-    factorization of the block is computed on first use and cached.
+    ``table`` is the (m, 5) value table of ``OperatorPattern``;
+    ``block_data`` holds the CSC values of ``A_II`` and ``coupling_data``
+    the CSR values of ``A_IB``, both gathered from it in the pattern of
+    ``operator_pattern(grid.n)``.  The boundary rows of the full system are
+    identity rows, so the interior unknowns satisfy ``A_II x_I = b_I - A_IB
+    bc``.  ``norm`` is the infinity norm of the full system, ``max(1,
+    interior row sums of |A|)``.  The LU factorization of the block is
+    computed on first use and cached.
     """
 
     grid: Grid
     omega: float
-    block: sp.csc_matrix
-    coupling: sp.csr_matrix
+    table: np.ndarray
+    block_data: np.ndarray
+    coupling_data: np.ndarray
     norm: float
     _lu: list = field(default_factory=list, repr=False)
 
     def factorization(self):
-        """SuperLU factors of the interior block, ordered by minimum degree on A^T + A.
+        """``factor`` of the interior block, looked up when first needed.
 
         A factor made on a ``map_frequencies`` worker is destroyed on that
         worker when the operator is, whichever thread drops the operator.
         """
         if not self._lu:
+            pat = operator_pattern(self.grid.n)
             try:
-                self._lu.append(spla.splu(self.block, permc_spec="MMD_AT_PLUS_A"))
+                self._lu.append(factor(self.block_data, pat.block_indices, pat.block_indptr))
             except RuntimeError as exc:  # singular or breakdown
                 raise SolverError(f"sparse factorization failed at omega={self.omega:g}: {exc}") from exc
             owner = getattr(_worker, "executor", None)
             if owner is not None:
                 weakref.finalize(self, _release, owner, self._lu).atexit = False
         return self._lu[0]
+
+
+def factor(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """SuperLU factors of the square CSC matrix ``(data, indices, indptr)``, ordered by minimum degree on A^T + A.
+
+    The call is the one ``scipy.sparse.linalg.splu(A, permc_spec=
+    "MMD_AT_PLUS_A")`` makes, so the factors are the same to the bit; the
+    result is scipy's ``SuperLU`` object, whose ``solve`` takes (N, k)
+    columns.  ``indices`` and ``indptr`` are int32 and the row indices of
+    each column increase.  A singular matrix raises RuntimeError.
+    """
+    options = dict(DiagPivotThresh=None, ColPerm="MMD_AT_PLUS_A", PanelSize=None, Relax=None)
+    return _superlu.gstrf(
+        len(indptr) - 1, len(data), data, indices, indptr, csc_construct_func=None, ilu=False, options=options
+    )
 
 
 def _release(owner: ThreadPoolExecutor, holder: list) -> None:
@@ -347,9 +433,9 @@ def assemble(grid: Grid, x: np.ndarray, omega: float) -> EllipticOperator:
     for name, values in (("conductivity", x[0]), ("permittivity", x[1])):
         if not np.all((values > 0.0) & (values < np.inf)):
             raise ValueError(f"{name} must be finite and strictly positive everywhere")
-    table, block, coupling = _gather(grid, x[0] + 1j * omega * x[1])
+    table, block_data, coupling_data = _gather(grid, x[0] + 1j * omega * x[1])
     norm = max(1.0, float(np.max(np.abs(table).sum(axis=1))))
-    return EllipticOperator(grid, omega, block, coupling, norm)
+    return EllipticOperator(grid, omega, table, block_data, coupling_data, norm)
 
 
 def _face_means(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,10 +446,10 @@ def _face_means(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (coeff[:-1, :] + coeff[1:, :]), 0.5 * (coeff[:, :-1] + coeff[:, 1:])
 
 
-def _gather(grid: Grid, coeff: np.ndarray) -> tuple[np.ndarray, sp.csc_matrix, sp.csr_matrix]:
-    """Value table, interior block and boundary coupling of ``div(coeff grad(.))``.
+def _gather(grid: Grid, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value table and the values of the interior block and boundary coupling of ``div(coeff grad(.))``.
 
-    ``coeff`` is one nodal field (n, n), real or complex; the matrices take
+    ``coeff`` is one nodal field (n, n), real or complex; the values take
     its dtype.  The table has shape (m, 5), see ``OperatorPattern``.
     """
     pat = operator_pattern(grid.n)
@@ -379,12 +465,7 @@ def _gather(grid: Grid, coeff: np.ndarray) -> tuple[np.ndarray, sp.csc_matrix, s
     # reference COO assembly (see tests/helpers.py).
     table[:, 2] = -(((e[:, 1] + e[:, 2]) + e[:, 3]) + e[:, 0])
     values = table.reshape(-1)
-    block = sp.csc_matrix((values[pat.block_take], pat.block_indices, pat.block_indptr), shape=(m, m))
-    coupling = sp.csr_matrix(
-        (values[pat.coupling_take], pat.coupling_indices, pat.coupling_indptr),
-        shape=(m, grid.boundary_index.size),
-    )
-    return table, block, coupling
+    return table, values[pat.block_take], values[pat.coupling_take]
 
 
 def apply_div_coeff_grad(grid: Grid, coeff: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -428,8 +509,9 @@ def _backward_error(op: EllipticOperator, c, x, r, norm_bc, norm_b) -> float:
     boundary values: ``norm_bc`` and ``norm_b`` are the row norms of ``bc``
     and of the full right-hand side.
     """
+    pat = operator_pattern(op.grid.n)
     for ck, xk, rk in zip(c, x, r):
-        np.subtract(ck, op.block @ xk, out=rk)
+        np.subtract(ck, pat.block_product(op.block_data, xk, rk), out=rk)
     scale = op.norm * np.hypot(_row_norms(x), norm_bc) + norm_b
     return float(np.max(_row_norms(r) / np.maximum(scale, 1e-300)))
 
@@ -472,11 +554,10 @@ def _interior_rhs(op: EllipticOperator, bc, src) -> tuple:
     # overflow of finite ones: only then are the entries themselves checked.
     if not np.all(np.isfinite(norm_b)) and not (np.all(np.isfinite(b)) and np.all(np.isfinite(bc))):
         raise ValueError("non-finite right-hand side")
-    # The sparse products here and in ``_backward_error`` go column by column:
-    # each column is contiguous, so scipy neither copies nor reorders it, and
-    # the result equals the multi-column product bit for bit.
+    pat = operator_pattern(n)
+    product = np.empty(b.shape[1], dtype=complex)
     for bk, bck in zip(b, bc_rows):
-        bk -= op.coupling @ bck
+        bk -= pat.coupling_product(op.coupling_data, bck, product)
     return bc, b, norm_bc, norm_b
 
 
@@ -502,8 +583,9 @@ def solve_dirichlet(
 
     A call costs little more than its triangular solve and one ``A_II``
     product: the interior moves in and out by slicing, the columns reach
-    SuperLU in its own Fortran layout, the sparse products take one
-    contiguous column at a time, and the norms are sums of squares.  At
+    SuperLU (``factor``) in its own Fortran layout, the sparse products
+    run in scipy's compiled kernels on one contiguous column at a time,
+    and the norms are sums of squares.  At
     n=65 with 2 columns (2-core VM, one thread) a call takes about 1.4 ms,
     of which 0.95 ms is the triangular solve and 0.2 ms the ``A_II``
     product.
@@ -589,14 +671,15 @@ def _shifted_sweep(grid: Grid, x: np.ndarray, omegas: list, bc: np.ndarray, fini
     """
     tau = 0.5 * (min(omegas) + max(omegas))
     lu = assemble(grid, x, tau).factorization()  # the operator itself is not kept
+    pat = operator_pattern(grid.n)
     _, _, c_sigma = _gather(grid, x[0])
     _, a_eps, c_eps = _gather(grid, x[1] + 0j)
     m = len(bc)
     norm_bc = _row_norms(bc)
     c = np.empty((2 * m, (grid.n - 2) ** 2), dtype=complex)
     for k, row in enumerate(bc):
-        c[k] = -(c_sigma @ row)
-        c[m + k] = -(c_eps @ row)
+        np.negative(pat.coupling_product(c_sigma, row, c[k]), out=c[k])
+        np.negative(pat.coupling_product(c_eps, row, c[m + k]), out=c[m + k])
     _, first, start = _orthonormalize(lu.solve(c.T).T, [])
     if not len(first):  # c = 0, as for all-zero boundary data: every state is zero
         zero = _field(grid, np.zeros((m, c.shape[1]), dtype=complex), bc)
@@ -612,7 +695,7 @@ def _shifted_sweep(grid: Grid, x: np.ndarray, omegas: list, bc: np.ndarray, fini
         v = basis[-1]
         z = np.empty_like(v)
         for vk, zk in zip(v, z):
-            zk[...] = a_eps @ vk
+            pat.block_product(a_eps, vk, zk)
         coeffs, new, tail = _orthonormalize(lu.solve(z.T).T, basis)
         cols = slice(size - len(v), size)
         for o, h in zip(offsets, coeffs):
@@ -643,7 +726,7 @@ def _shifted_sweep(grid: Grid, x: np.ndarray, omegas: list, bc: np.ndarray, fini
             xs = np.zeros((ys.shape[1], c.shape[1]), dtype=complex)
             for o, block in zip(offsets, basis):
                 if o < inner:
-                    zgemm(1.0, block.T, ys[o:o + len(block)], beta=1.0, c=xs.T, overwrite_c=True)
+                    xs += ys[o:o + len(block)].T @ block
             for j, (k, _) in enumerate(ready):
                 xk = xs[j * m:(j + 1) * m]
                 op = assemble(grid, x, omegas[k])
@@ -660,9 +743,12 @@ def _orthonormalize(w: np.ndarray, basis: list) -> tuple[list, np.ndarray, np.nd
     """Orthonormalize the rows of ``w`` against the blocks of ``basis`` and among themselves.
 
     Two passes of block Gram-Schmidt against the basis, each product a
-    ``zgemm`` that reads V in place (``V^H w`` without a conjugated copy of
-    V, and ``w -= V h`` into ``w``), then two passes of Gram-Schmidt of
-    each row against the new rows kept before it.  A row is dropped when
+    numpy ``matmul`` (``V^H w`` as the conjugate of ``conj(w) V^T``, which
+    copies only the new rows, and ``w -= V h``), then two passes of
+    Gram-Schmidt of each row against the new rows kept before it.  With
+    two rows or more on each side the products give the bits of BLAS
+    ``zgemm``; a one-row block takes numpy's matrix-vector route, which
+    may round differently.  A row is dropped when
     what is left of it is below DEFLATION_TOL times the largest row of the
     original ``w``: it depends on the others, as the shared column of
     ``c_s`` and ``c_e`` does.  Returns the coefficients on each basis
@@ -675,8 +761,8 @@ def _orthonormalize(w: np.ndarray, basis: list) -> tuple[list, np.ndarray, np.nd
     coeffs = [np.zeros((len(v), len(w)), dtype=complex) for v in basis]
     for _ in range(2):
         for v, h in zip(basis, coeffs):
-            step = zgemm(1.0, v.T, w.T, trans_a=2)
-            zgemm(-1.0, v.T, step, beta=1.0, c=w.T, overwrite_c=True)
+            step = np.conj(w.conj() @ v.T).T  # V^H w
+            w -= step.T @ v
             h += step
     kept, tail = [], np.zeros((len(w), len(w)), dtype=complex)
     for j, wj in enumerate(w):
@@ -732,14 +818,15 @@ def _poisson_eigenvalues(op: EllipticOperator) -> np.ndarray:
     """Eigenvalues of the interior block of the constant operator ``op``, shape (n-2, n-2).
 
     Entry (j, k) belongs to the sine mode ``sin(j i th) sin(k l th)``, th =
-    pi / (n-1).  The diagonal d and the coupling e are read from the block,
-    so the rounding of ``1/h**2`` is the block's own.  The eigenvalue
+    pi / (n-1).  The diagonal d and the coupling e are read from the
+    operator's value table, so the rounding of ``1/h**2`` is the block's
+    own.  The eigenvalue
     ``d + 2e (cos(j th) + cos(k th))`` is formed as ``(d + 4e) - 4e
     (sin^2(j th/2) + sin^2(k th/2))``: ``d + 4e`` is exact, and the smallest
     eigenvalues do not lose digits to cancellation.
     """
-    d = op.block.diagonal()[0].real
-    e = op.coupling.data[0].real  # every coupling, in the block too, is e
+    d = op.table[0, 2].real
+    e = op.table[0, 0].real  # every coupling, in the block too, is e
     side = op.grid.n - 2
     s = 4.0 * e * np.sin(0.5 * np.pi * np.arange(1, side + 1) / (side + 1)) ** 2
     return (d + 4.0 * e) - (s[:, None] + s[None, :])

@@ -161,6 +161,22 @@ def assemble_matrix(grid: Grid, a: np.ndarray, omega: float) -> sp.csc_matrix:
     return mat.tocsc()
 
 
+def block_matrix(op: EllipticOperator) -> sp.csc_matrix:
+    """The interior block ``A_II`` of ``op`` as a scipy CSC matrix."""
+    pat = operator_pattern(op.grid.n)
+    m = pat.inner.size
+    return sp.csc_matrix((op.block_data, pat.block_indices, pat.block_indptr), shape=(m, m))
+
+
+def coupling_matrix(op: EllipticOperator) -> sp.csr_matrix:
+    """The boundary coupling ``A_IB`` of ``op`` as a scipy CSR matrix."""
+    pat = operator_pattern(op.grid.n)
+    return sp.csr_matrix(
+        (op.coupling_data, pat.coupling_indices, pat.coupling_indptr),
+        shape=(pat.inner.size, op.grid.boundary_index.size),
+    )
+
+
 def reference_solve_dirichlet(op: EllipticOperator, bc: np.ndarray, src: np.ndarray | None = None) -> np.ndarray:
     """``solve_dirichlet`` as it was written before its layout work: the bit-identity oracle.
 
@@ -184,12 +200,12 @@ def reference_solve_dirichlet(op: EllipticOperator, bc: np.ndarray, src: np.ndar
     lu = op.factorization()
     norm_bc = np.linalg.norm(bc_cols, axis=0)
     norm_b = np.hypot(np.linalg.norm(b, axis=0), norm_bc)
-    c = b - op.coupling @ bc_cols
+    c = b - coupling_matrix(op) @ bc_cols
     x = lu.solve(c)
     for sweep in range(3):
         if sweep:
             x += lu.solve(r)
-        r = c - op.block @ x
+        r = c - block_matrix(op) @ x
         scale = op.norm * np.hypot(np.linalg.norm(x, axis=0), norm_bc) + norm_b
         residual = float(np.max(np.linalg.norm(r, axis=0) / np.maximum(scale, 1e-300)))
         if np.isfinite(residual) and residual <= SOLVE_RTOL:

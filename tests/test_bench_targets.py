@@ -14,30 +14,54 @@ import importlib.util
 import os
 
 import numpy as np
+import pytest
 
 import mfeit.landweber as lw
-from mfeit import RunConfig
+from mfeit import RunConfig, pde
 from mfeit.admissible import AdmissibleParams
 from mfeit.landweber import LandweberConfig
 from mfeit.mesh import build_grid
 from mfeit.pde import constant_field
 from mfeit.phantom import Inclusion, PhantomSpec, make_phantom, synthesize_data
+from mfeit.properbc import canonical_phi
 
 from helpers import ONE_BUMP
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "spans.py")
 
 
-def test_every_span_target_resolves():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_span_target_resolves():
+    spans = _load_spans()
     missing = [
         f"{module}.{attr}"
         for module, attr, _, _ in spans.TARGETS
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="bench/spans.py still wraps scipy.sparse.linalg.splu, which mfeit.pde no longer calls; "
+    "ROADMAP item 1 retargets pde.factor at mfeit.pde.factor",
+)
+def test_factor_target_records_a_span():
+    # A resolvable target that the package never calls reads 0 instead of failing.
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        grid = build_grid(17, 0.2)
+        pde.solve_dirichlet(pde.assemble(grid, constant_field(grid, 1.0, 1.0), 1.0), canonical_phi(grid))
+    finally:
+        tracer.uninstall()
+    assert "pde.factor" in {s.name for s in tracer.spans}
 
 
 def test_make_phantom_exposes_sigma_and_eps():

@@ -346,6 +346,13 @@ class TestDatasetValidation:
         err = capsys.readouterr().err
         assert "validation error" in err and "2 frequency nodes but 1 weights" in err
 
+    def test_manifest_with_duplicate_section(self, dataset, capsys):
+        # configparser rejects the file while reading it, before any value is read
+        path, data_dir = dataset
+        with open(os.path.join(data_dir, "manifest.cfg"), "a") as fh:
+            fh.write("\n[meta]\nphantom = again\n")
+        self._rejects(path, data_dir, "manifest.cfg", capsys)
+
 
 DEFAULT_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -699,6 +706,19 @@ class TestCli:
         sigma, _ = read_field(str(tmp_path / "out" / "sigma_init"))
         assert sigma.shape == (17, 17)
 
+    def test_diverging_reconstruct_exits_3(self, tmp_path, capsys):
+        # mu = 1e300 passes LandweberConfig; the first iterate's norm overflows
+        cfg = RunConfig(n=17, c0=0.2, n_freq=3, refinement=1, phantom=ONE_BUMP, mu=1e300, max_iters=2,
+                        stop_tol=0.0, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "run.cfg"
+        path.write_text(serialize_config(cfg))
+        assert main(["simulate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(path), "--data", str(tmp_path / "out" / "dataset")]) == 3
+        err = capsys.readouterr().err
+        assert "diverged" in err and "(Landweber iteration 1)" in err
+        assert not os.path.exists(tmp_path / "out" / "trajectory.csv")
+
     def test_reconstruct_reuses_start_factorizations(self, tmp_path, monkeypatch):
         # factorizations: coverage 1 + step-size estimate 9 + 9 per step
         # after the first, which reuses the estimate's forward states; the
@@ -706,8 +726,6 @@ class TestCli:
         # applications of the normal operator, 18 per step (forward and
         # adjoint) and the coverage sweep's k + 1; each passes the gate on
         # its first triangular solve
-        import scipy.sparse.linalg as spla
-
         iters = 2
         cfg = RunConfig(n=17, c0=0.2, refinement=1, phantom=ONE_BUMP, max_iters=iters,
                         stop_tol=0.0, lambda_min=0.0, output_dir=str(tmp_path / "out"))
@@ -715,8 +733,8 @@ class TestCli:
         path.write_text(serialize_config(cfg))
         assert main(["simulate", "--config", str(path)]) == 0
         made = []
-        splu = spla.splu
-        monkeypatch.setattr(spla, "splu", lambda *a, **k: made.append(CountingLU(splu(*a, **k))) or made[-1])
+        factor = pde.factor
+        monkeypatch.setattr(pde, "factor", lambda *a, **k: made.append(CountingLU(factor(*a, **k))) or made[-1])
         data_dir = str(tmp_path / "out" / "dataset")
         assert main(["reconstruct", "--config", str(path), "--data", data_dir]) == 0
         assert cfg.mu is None and cfg.n_freq == 9
@@ -724,27 +742,31 @@ class TestCli:
         assert sum(lu.solves for lu in made) == 114
 
     def test_init_guess_makes_no_factorization(self, tmp_path, monkeypatch):
-        import scipy.sparse.linalg as spla
-
         cfg = RunConfig(n=17, c0=0.2, refinement=1, phantom=ONE_BUMP, output_dir=str(tmp_path / "out"))
         path = tmp_path / "run.cfg"
         path.write_text(serialize_config(cfg))
         assert main(["simulate", "--config", str(path)]) == 0
         made = []
-        splu = spla.splu
-        monkeypatch.setattr(spla, "splu", lambda *a, **k: made.append(1) or splu(*a, **k))
+        factor = pde.factor
+        monkeypatch.setattr(pde, "factor", lambda *a, **k: made.append(1) or factor(*a, **k))
         assert main(["init-guess", "--config", str(path), "--data", str(tmp_path / "out" / "dataset")]) == 0
         assert made == []
 
     def test_cli_import_does_not_load_scipy_fft(self):
-        # scipy.fft takes about 90 ms to import; the sine transform uses numpy.fft
+        # scipy.fft takes about 90 ms to import; the sine transform uses numpy.fft.
+        # scipy.sparse, scipy.sparse.linalg and scipy.linalg take about 0.2 s:
+        # pde loads SuperLU and the sparse kernels from their files instead
         import subprocess
         import sys
 
         import mfeit
 
         src = os.path.dirname(os.path.dirname(mfeit.__file__))
-        code = "import sys, mfeit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))"
+        code = (
+            "import sys, mfeit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'fft'], ['scipy', 'linalg']) "
+            "or m in ('scipy.sparse', 'scipy.sparse.linalg')))"
+        )
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
@@ -752,14 +774,12 @@ class TestCli:
 
     def test_coverage_makes_one_factorization(self, tmp_path, monkeypatch):
         # the shifted sweep: one 4-column solve, then one per Krylov step
-        import scipy.sparse.linalg as spla
-
         cfg = RunConfig(n=17, c0=0.2, phantom=ONE_BUMP, output_dir=str(tmp_path / "out"))
         path = tmp_path / "run.cfg"
         path.write_text(serialize_config(cfg))
         made = []
-        splu = spla.splu
-        monkeypatch.setattr(spla, "splu", lambda *a, **k: made.append(CountingLU(splu(*a, **k))) or made[-1])
+        factor = pde.factor
+        monkeypatch.setattr(pde, "factor", lambda *a, **k: made.append(CountingLU(factor(*a, **k))) or made[-1])
         assert main(["coverage", "--config", str(path)]) == 0
         assert cfg.n_freq == 9
         assert len(made) == 1
@@ -771,10 +791,8 @@ class TestCli:
         import gc
         import threading
 
-        import scipy.sparse.linalg as spla
-
         made, freed = {}, {}
-        splu = spla.splu
+        factor = pde.factor
 
         class Tracked:
             def __init__(self, lu):
@@ -793,7 +811,7 @@ class TestCli:
         path = tmp_path / "run.cfg"
         path.write_text(serialize_config(cfg))
         monkeypatch.setenv("MFEIT_THREADS", "2")
-        monkeypatch.setattr(spla, "splu", lambda *a, **k: Tracked(splu(*a, **k)))
+        monkeypatch.setattr(pde, "factor", lambda *a, **k: Tracked(factor(*a, **k)))
 
         def settle():
             gc.collect()

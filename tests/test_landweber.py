@@ -297,6 +297,21 @@ class TestGenericEngine:
         # the stop is strict: a step of exactly zero does not end a stop_tol = 0 run
         assert len(recs) == 5 and recs[-1].step_norm == 0.0
 
+    def test_diverging_run_raises_with_partial_trajectory(self):
+        # x_k = (1 - mu) x_{k-1} + mu b: the first iterate is 1e100, the second
+        # about -1e200, whose squared norm overflows
+        b = np.ones(5)
+        problem = GenericProblem(
+            residuals=lambda x: [x - b],
+            adjoint_step=lambda res: res[0],
+            misfit=lambda res: 0.5 * float(res[0] @ res[0]),
+        )
+        with pytest.raises(SolverError, match="diverged") as excinfo:
+            generic_run(problem, np.zeros(5), LandweberConfig(mu=1e100, max_iters=5, stop_tol=0.5), truth=b)
+        assert excinfo.value.iteration == 2
+        (rec,) = excinfo.value.trajectory
+        assert rec.step_norm == pytest.approx(math.sqrt(5) * 1e100) and math.isfinite(rec.err_to_truth)
+
     @pytest.mark.parametrize("stop_tol", [0.0, 1e-3, 1e-8])
     def test_stops_after_first_small_step(self, stop_tol):
         problem, x_star, mu, _ = linear_oracle()

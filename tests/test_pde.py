@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -18,7 +20,14 @@ from mfeit.pde import (
 )
 from mfeit.properbc import canonical_phi
 
-from helpers import TWO_BUMPS, CountingLU, assemble_matrix, reference_solve_dirichlet
+from helpers import (
+    TWO_BUMPS,
+    CountingLU,
+    assemble_matrix,
+    block_matrix,
+    coupling_matrix,
+    reference_solve_dirichlet,
+)
 from mfeit.admissible import AdmissibleParams
 from mfeit.phantom import make_phantom
 
@@ -78,8 +87,8 @@ def test_pattern_fill_matches_reference_bit_for_bit(n, omega):
     op = assemble(g, a, omega)
     inner = operator_pattern(n).inner
     rows = assemble_matrix(g, a, omega)[inner].tocsr()
-    for got, ref in ((op.block, rows[:, inner].tocsc()),
-                     (op.coupling, rows[:, g.boundary_index].tocsr())):
+    for got, ref in ((block_matrix(op), rows[:, inner].tocsc()),
+                     (coupling_matrix(op), rows[:, g.boundary_index].tocsr())):
         ref.sort_indices()
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
@@ -493,6 +502,111 @@ def test_factorization_covers_interior_unknowns_only(grid17):
     assert op.factorization().shape == ((n - 2) ** 2, (n - 2) ** 2)
 
 
+# ``pde`` calls SuperLU, scipy's sparse kernels and the BLAS without scipy's
+# Python layers; these tests pin each call to the public scipy route it
+# replaces, bit for bit.
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.float64)
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_factor_matches_splu(n):
+    g = build_grid(n, 0.2)
+    op = assemble(g, 1.0 + 0.3 * random_smooth_pair(g, np.random.default_rng(n)), 1.7)
+    pat = operator_pattern(n)
+    ours = pde.factor(op.block_data, pat.block_indices, pat.block_indptr)
+    ref = spla.splu(block_matrix(op), permc_spec="MMD_AT_PLUS_A")
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal((2, pat.inner.size)) + 1j * rng.standard_normal((2, pat.inner.size))
+    assert ours.nnz == ref.nnz
+    assert np.array_equal(ours.perm_c, ref.perm_c) and np.array_equal(ours.perm_r, ref.perm_r)
+    assert np.array_equal(_bits(ours.solve(c.T)), _bits(ref.solve(c.T)))
+
+
+@pytest.mark.parametrize("n", [17, 33])
+@pytest.mark.parametrize("kind", ["real", "complex", "real-as-complex"])
+def test_products_match_scipy_matrices(n, kind):
+    g = build_grid(n, 0.2)
+    x = 1.0 + 0.3 * random_smooth_pair(g, np.random.default_rng(n))
+    coeff = {"real": x[0], "complex": x[0] + 1.7j * x[1], "real-as-complex": x[1] + 0j}[kind]
+    _, block_data, coupling_data = pde._gather(g, coeff)
+    op = pde.EllipticOperator(g, 1.7, None, block_data, coupling_data, 1.0)
+    pat = operator_pattern(n)
+    rng = np.random.default_rng(1)
+    m, nb = pat.inner.size, g.boundary_index.size
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    bc = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
+    got = pat.block_product(block_data, v, np.full(m, np.nan + 0j))
+    assert np.array_equal(_bits(got), _bits(block_matrix(op) @ v))
+    got = pat.coupling_product(coupling_data, bc, np.full(m, np.nan + 0j))
+    assert np.array_equal(_bits(got), _bits(coupling_matrix(op) @ bc))
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_sweep_products_match_zgemm(n):
+    # The basis blocks and the new rows of the shifted sweep are 2 to 4
+    # rows long for the 2-column right-hand sides of the package.
+    from scipy.linalg.blas import zgemm
+
+    ni = (n - 2) ** 2
+    rng = np.random.default_rng(n)
+
+    def rows(k):
+        return rng.standard_normal((k, ni)) + 1j * rng.standard_normal((k, ni))
+
+    with pde.blas_one_thread():
+        for kv in (2, 3, 4):
+            for kw in (2, 4):
+                v, w = rows(kv), rows(kw)
+                step = np.conj(w.conj() @ v.T).T
+                ref = zgemm(1.0, v.T, w.T, trans_a=2)
+                assert np.array_equal(_bits(step), _bits(ref))
+                got, want = w.copy(), w.copy()
+                got -= step.T @ v
+                zgemm(-1.0, v.T, ref, beta=1.0, c=want.T, overwrite_c=True)
+                assert np.array_equal(_bits(got), _bits(want))
+                ys = rows(kv)[:, :2 * kw]
+                got = rows(2 * kw)
+                want = got.copy()
+                got += ys.T @ v
+                zgemm(1.0, v.T, ys, beta=1.0, c=want.T, overwrite_c=True)
+                assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("first", ["mfeit", "scipy"])
+def test_scipy_extensions_are_initialised_once(first):
+    # ``pde`` loads SuperLU and the sparse kernels from their files; in
+    # either import order scipy's own modules must be the same objects.
+    import subprocess
+    import sys
+
+    import mfeit
+
+    imports = ["import mfeit.pde as pde", "import scipy.sparse.linalg as spla"]
+    code = "\n".join(imports if first == "mfeit" else imports[::-1]) + "\n" + "\n".join([
+        "import sys",
+        "assert sys.modules['scipy.sparse.linalg._dsolve._superlu'] is pde._superlu",
+        "assert sys.modules['scipy.sparse._sparsetools'] is pde._sparsetools",
+        "assert spla._dsolve.linsolve._superlu is pde._superlu",
+        "import numpy as np, scipy.sparse as sp",
+        "a = sp.csc_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))",
+        "assert np.allclose(a @ spla.splu(a).solve(np.ones(2)), 1.0)",
+    ])
+    src = os.path.dirname(os.path.dirname(mfeit.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
+def test_missing_scipy_extension_names_the_scipy_version():
+    from importlib.metadata import version
+
+    with pytest.raises(ImportError, match=f"scipy {version('scipy')} does not have"):
+        pde._scipy_extension("sparse._no_such_module")
+
+
 NINE = np.linspace(1.0, 2.0, 9)
 
 
@@ -504,8 +618,8 @@ def two_bumps33():
 
 def _count_factorizations(monkeypatch) -> list:
     made = []
-    splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *a, **k: made.append(1) or splu(*a, **k))
+    factor = pde.factor
+    monkeypatch.setattr(pde, "factor", lambda *a, **k: made.append(1) or factor(*a, **k))
     return made
 
 
