@@ -67,48 +67,29 @@ class AdmissibleParams:
 
 
 @dataclass
-class Violation:
-    constraint: str
-    node: tuple[int, int]
-    magnitude: float
-
-
-@dataclass
 class MembershipReport:
     in_set: bool
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[str] = field(default_factory=list)
 
 
 def is_member(grid: Grid, x: np.ndarray, p: AdmissibleParams) -> MembershipReport:
     """Check pointwise bounds, background support, and the H1 cap of ``x``, shape (2, n, n).
 
-    All failures are collected into the report rather than raised; each
-    failed constraint contributes one entry carrying its worst node.  A NaN
-    node violates the bounds by an infinite amount.  The support and the cap
-    are checked with a slack of 1e-12 (absolute and relative).
+    All failures are collected into the report rather than raised:
+    ``violations`` names each failed constraint once (``sigma_bounds``,
+    ``sigma_support``, ``sigma_h1``, then the same for eps, in that
+    order).  A NaN node violates the bounds.  The support and the cap are
+    checked with a slack of 1e-12 (absolute and relative).
     """
     tol = 1e-12
-    violations: list[Violation] = []
-
-    def worst(mask_excess: np.ndarray, name: str):
-        k = int(np.argmax(mask_excess))
-        mag = float(mask_excess.reshape(-1)[k])
-        if mag > 0.0:
-            violations.append(Violation(name, (k // grid.n, k % grid.n), mag))
-
+    violations: list[str] = []
     for name, values, bg in zip(("sigma", "eps"), x, (p.sigma0, p.eps0)):
-        excess = np.where(np.isnan(values), np.inf, np.maximum(p.c1 - values, values - p.c2))
-        worst(np.maximum(excess, 0.0), f"{name}_bounds")
-
-        outside = ~grid.interior_mask
-        dev = np.abs(values - bg) * outside
-        if np.max(dev) > tol:
-            worst(dev, f"{name}_support")
-
-        nrm = np.sqrt(h1_norm_sq(grid, values - bg))
-        if nrm > p.c4 * (1.0 + tol):
-            violations.append(Violation(f"{name}_h1", (0, 0), float(nrm - p.c4)))
-
+        if np.any(np.isnan(values) | (values < p.c1) | (values > p.c2)):
+            violations.append(f"{name}_bounds")
+        if np.max(np.abs(values - bg) * ~grid.interior_mask) > tol:
+            violations.append(f"{name}_support")
+        if np.sqrt(h1_norm_sq(grid, values - bg)) > p.c4 * (1.0 + tol):
+            violations.append(f"{name}_h1")
     return MembershipReport(in_set=not violations, violations=violations)
 
 

@@ -49,8 +49,13 @@ def write_field(base: str, values: np.ndarray, grid: Grid) -> None:
             fh.write(f"{key} = {format_number(lines[key])}\n")
 
 
-def read_field(base: str) -> tuple[np.ndarray, dict]:
-    """Read a field file pair written by ``write_field``."""
+def read_field(base: str) -> np.ndarray:
+    """The (n, n) field, real or complex, of a file pair written by ``write_field``.
+
+    The ``.meta`` sidecar must hold a positive integer ``n`` and the
+    ``.f64`` file exactly the values its ``kind`` calls for; a ValueError
+    naming the file is raised otherwise.
+    """
     meta: dict = {}
     with open(base + ".meta", "r", encoding="utf-8") as fh:
         for line in fh:
@@ -68,30 +73,26 @@ def read_field(base: str) -> tuple[np.ndarray, dict]:
     if meta.get("kind") == "complex":
         if raw.size != 2 * n * n:
             raise ValueError(f"{base}.f64: expected {2*n*n} values, found {raw.size}")
-        values = raw[: n * n].reshape(n, n) + 1j * raw[n * n :].reshape(n, n)
-    else:
-        if raw.size != n * n:
-            raise ValueError(f"{base}.f64: expected {n*n} values, found {raw.size}")
-        values = raw.reshape(n, n)
-    return values, meta
+        return raw[: n * n].reshape(n, n) + 1j * raw[n * n :].reshape(n, n)
+    if raw.size != n * n:
+        raise ValueError(f"{base}.f64: expected {n*n} values, found {raw.size}")
+    return raw.reshape(n, n)
 
 
 def write_field_csv(path: str, values: np.ndarray, grid: Grid) -> None:
-    """CSV export of a nodal field: i, j, x, y, value columns (re/im if complex)."""
+    """CSV export of a real nodal field: i, j, x, y, value columns.
+
+    A complex field raises ValueError, and no file is written.
+    """
     values = np.asarray(values).reshape(grid.shape)
     if np.iscomplexobj(values):
-        header = "i,j,x,y,re,im\n"
-        re = values.real.astype(float).ravel().tolist()
-        im = values.imag.astype(float).ravel().tolist()
-        cells = [f"{a!r},{b!r}" for a, b in zip(re, im)]
-    else:
-        header = "i,j,x,y,value\n"
-        cells = [repr(v) for v in values.astype(float).ravel().tolist()]
+        raise ValueError(f"{path}: CSV export takes a real field, got {values.dtype}")
+    cells = [repr(v) for v in values.astype(float).ravel().tolist()]
     xs = [repr(x) for x in grid.xs.astype(float).tolist()]
     nodes = ((i, j) for i in range(grid.n) for j in range(grid.n))
     rows = [f"{i},{j},{xs[i]},{xs[j]},{cell}\n" for (i, j), cell in zip(nodes, cells)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "".join(rows))
+        fh.write("i,j,x,y,value\n" + "".join(rows))
 
 
 def write_dataset(directory: str, data: Dataset) -> None:
@@ -144,7 +145,7 @@ def read_dataset(directory: str) -> Dataset:
         pair = []
         for c in (1, 2):
             base = os.path.join(directory, f"u_{k:03d}_c{c}")
-            u, _ = read_field(base)
+            u = read_field(base)
             if u.shape != grid.shape:
                 raise ValueError(f"{base}.meta: n = {u.shape[0]} differs from the manifest's n = {grid.n}")
             if not np.all(np.isfinite(u)):

@@ -228,7 +228,9 @@ def generic_run(
     step whose ``step_norm`` is below ``cfg.stop_tol`` times the norm of
     the new iterate (both in ``p.inner_x``); the rule reads only that
     step, and ``stop_tol = 0`` never fires.  Returns the projection of the
-    final iterate together with the full trajectory.  On solver failure
+    final iterate together with the full trajectory.  A step whose ``J``
+    exceeds the first step's has diverged too: a run that ends worse than
+    it began is no answer, so SolverError is raised.  On solver failure
     inside the loop, a diverged iterate included (see ``step``), the
     partial trajectory and the failing iteration are attached to the
     raised error.
@@ -249,6 +251,11 @@ def generic_run(
             start = None
             rec.n = it
             records.append(rec)
+            if rec.J > records[0].J:
+                raise SolverError(
+                    f"the iteration diverged: J = {rec.J:.6e} exceeds the first step's {records[0].J:.6e}; "
+                    "try a smaller mu"
+                )
             if it % LOG_EVERY == 0:
                 logger.info(
                     "iter %4d  J=%.6e  |g|=%.3e  step_norm=%.3e  proj_dev=%.3e",

@@ -165,14 +165,13 @@ _sparsetools = _scipy_extension("sparse._sparsetools")
 
 
 class SolverError(RuntimeError):
-    """Linear solve failed or exceeded the residual tolerance."""
+    """A linear solve failed or missed the residual tolerance, or the iteration diverged.
 
-    #: Landweber iteration during which the solve failed, set by the loop.
+    The message states the cause, a solve's residual included.
+    """
+
+    #: Landweber iteration during which the failure occurred, set by the loop.
     iteration: int | None = None
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
 
 
 def constant_field(grid: Grid, sigma0: float, eps0: float) -> np.ndarray:
@@ -256,19 +255,18 @@ def operator_pattern(n: int) -> OperatorPattern:
 class EllipticOperator:
     """Interior block ``A_II`` and boundary coupling ``A_IB`` of one operator.
 
-    ``table`` is the (m, 5) value table of ``OperatorPattern``;
     ``block_data`` holds the CSC values of ``A_II`` and ``coupling_data``
-    the CSR values of ``A_IB``, both gathered from it in the pattern of
-    ``operator_pattern(grid.n)``.  The boundary rows of the full system are
-    identity rows, so the interior unknowns satisfy ``A_II x_I = b_I - A_IB
-    bc``.  ``norm`` is the infinity norm of the full system, ``max(1,
+    the CSR values of ``A_IB``, in the pattern of
+    ``operator_pattern(grid.n)``; the (m, 5) value table they are gathered
+    from is dropped after assembly.  The boundary rows of the full system
+    are identity rows, so the interior unknowns satisfy ``A_II x_I = b_I -
+    A_IB bc``.  ``norm`` is the infinity norm of the full system, ``max(1,
     interior row sums of |A|)``.  The LU factorization of the block is
     computed on first use and cached.
     """
 
     grid: Grid
     omega: float
-    table: np.ndarray
     block_data: np.ndarray
     coupling_data: np.ndarray
     norm: float
@@ -435,7 +433,7 @@ def assemble(grid: Grid, x: np.ndarray, omega: float) -> EllipticOperator:
             raise ValueError(f"{name} must be finite and strictly positive everywhere")
     table, block_data, coupling_data = _gather(grid, x[0] + 1j * omega * x[1])
     norm = max(1.0, float(np.max(np.abs(table).sum(axis=1))))
-    return EllipticOperator(grid, omega, table, block_data, coupling_data, norm)
+    return EllipticOperator(grid, omega, block_data, coupling_data, norm)
 
 
 def _face_means(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -601,10 +599,7 @@ def solve_dirichlet(
         residual = _backward_error(op, c, x, r, norm_bc, norm_b)
         if np.isfinite(residual) and residual <= SOLVE_RTOL:
             return _field(op.grid, x, bc)
-    raise SolverError(
-        f"linear solve residual {residual:.3e} exceeds tolerance {SOLVE_RTOL:.1e} at omega={op.omega:g}",
-        residual=residual,
-    )
+    raise SolverError(f"linear solve residual {residual:.3e} exceeds tolerance {SOLVE_RTOL:.1e} at omega={op.omega:g}")
 
 
 def solve_frequencies(grid: Grid, x: np.ndarray, omegas, bc: np.ndarray, finish=None) -> list:
@@ -818,15 +813,15 @@ def _poisson_eigenvalues(op: EllipticOperator) -> np.ndarray:
     """Eigenvalues of the interior block of the constant operator ``op``, shape (n-2, n-2).
 
     Entry (j, k) belongs to the sine mode ``sin(j i th) sin(k l th)``, th =
-    pi / (n-1).  The diagonal d and the coupling e are read from the
-    operator's value table, so the rounding of ``1/h**2`` is the block's
-    own.  The eigenvalue
+    pi / (n-1).  The diagonal d and the coupling e are the first two values
+    of the block's first column, so the rounding of ``1/h**2`` is the
+    block's own.  The eigenvalue
     ``d + 2e (cos(j th) + cos(k th))`` is formed as ``(d + 4e) - 4e
     (sin^2(j th/2) + sin^2(k th/2))``: ``d + 4e`` is exact, and the smallest
     eigenvalues do not lose digits to cancellation.
     """
-    d = op.table[0, 2].real
-    e = op.table[0, 0].real  # every coupling, in the block too, is e
+    d = op.block_data[0].real
+    e = op.block_data[1].real  # the +y coupling; every coupling is e
     side = op.grid.n - 2
     s = 4.0 * e * np.sin(0.5 * np.pi * np.arange(1, side + 1) / (side + 1)) ** 2
     return (d + 4.0 * e) - (s[:, None] + s[None, :])

@@ -88,8 +88,7 @@ def make_phantom(spec: PhantomSpec, grid: Grid, params: AdmissibleParams) -> Pha
         eps += inc.deps * profile
     report = is_member(grid, np.stack((sigma, eps)), params)
     if not report.in_set:
-        names = ", ".join(v.constraint for v in report.violations)
-        raise ValueError(f"phantom violates the admissible set: {names}")
+        raise ValueError(f"phantom violates the admissible set: {', '.join(report.violations)}")
     return PhantomField(sigma, eps)
 
 

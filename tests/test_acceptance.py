@@ -207,10 +207,10 @@ def test_criterion_7_end_to_end_convergence(e2e_outputs):
     _, outdir, elapsed = e2e_outputs
     grid = build_grid(65, 0.2)
     truth = np.stack(make_phantom(TWO_BUMPS, grid, AdmissibleParams()))
-    sigma_init, _ = read_field(os.path.join(outdir, "sigma_init"))
-    eps_init, _ = read_field(os.path.join(outdir, "eps_init"))
-    sigma_final, _ = read_field(os.path.join(outdir, "sigma_final"))
-    eps_final, _ = read_field(os.path.join(outdir, "eps_final"))
+    sigma_init = read_field(os.path.join(outdir, "sigma_init"))
+    eps_init = read_field(os.path.join(outdir, "eps_init"))
+    sigma_final = read_field(os.path.join(outdir, "sigma_final"))
+    eps_final = read_field(os.path.join(outdir, "eps_final"))
     err0 = rel_interior_err(grid, np.stack((sigma_init, eps_init)), truth)
     err1 = rel_interior_err(grid, np.stack((sigma_final, eps_final)), truth)
 

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -172,10 +173,10 @@ class TestFieldIO:
         f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
         base = str(tmp_path / "field")
         write_field(base, f, g)
-        back, meta = read_field(base)
+        back = read_field(base)
         assert np.array_equal(back, f)
-        assert meta["kind"] == "complex"
-        assert meta["c0"] == "0.2"
+        meta = (tmp_path / "field.meta").read_text(encoding="utf-8").splitlines()
+        assert "kind = complex" in meta and "c0 = 0.2" in meta
 
     def test_dataset_roundtrip_bitwise(self, tmp_path):
         cfg = RunConfig(n=17, c0=0.2, n_freq=3, refinement=2, phantom=ONE_BUMP)
@@ -215,20 +216,26 @@ class TestFieldIO:
             trees.append({p.name: p.read_bytes() for p in sorted(target.iterdir())})
         assert trees[0] == trees[1]
 
-    @pytest.mark.parametrize("kind", ["real", "complex", "extreme", "int"])
+    @pytest.mark.parametrize("kind", ["real", "extreme", "int"])
     def test_csv_bytes_match_per_node_writer(self, tmp_path, kind):
         g = build_grid(17, 0.2)
         rng = np.random.default_rng(1)
         f = {
             "real": rng.standard_normal(g.shape),
-            "complex": rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape),
-            "extreme": rng.choice([1e300, -1e300, 1e-300, -1e-300, 0.0, -0.0], g.shape)
-            + 1j * rng.choice([1e300, -1e-300, 5e-324], g.shape),
+            "extreme": rng.choice([1e300, -1e300, 1e-300, -1e-300, 5e-324, 0.0, -0.0], g.shape),
             "int": rng.integers(-5, 5, g.shape),
         }[kind]
         write_field_csv(str(tmp_path / "new.csv"), f, g)
         write_field_csv_per_node(str(tmp_path / "ref.csv"), f, g)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_csv_rejects_complex_field(self, tmp_path):
+        # every CSV the commands write is real; a complex field is not cast
+        g = build_grid(17, 0.2)
+        path = tmp_path / "field.csv"
+        with pytest.raises(ValueError, match="real field"):
+            write_field_csv(str(path), g.X + 1j * g.Y, g)
+        assert not path.exists()
 
     def test_trajectory_columns_are_the_record_fields(self, tmp_path):
         records = [IterationRecord(1, 0.5, 1e-300, 0.1, 0.0, 0.25),
@@ -241,8 +248,86 @@ class TestFieldIO:
 
 
 
+def _set_manifest(section, key, value):
+    """A mutation that replaces one manifest value ``old`` by ``value(old)``."""
+
+    def mutate(data_dir):
+        manifest = os.path.join(data_dir, "manifest.cfg")
+        cp = configparser.ConfigParser()
+        cp.read(manifest)
+        cp[section][key] = value(cp[section][key])
+        with open(manifest, "w") as fh:
+            cp.write(fh)
+
+    return mutate
+
+
+def _append(name, data: bytes):
+    def mutate(data_dir):
+        with open(os.path.join(data_dir, name), "ab") as fh:
+            fh.write(data)
+
+    return mutate
+
+
+def _truncate(name, nbytes):
+    def mutate(data_dir):
+        path = os.path.join(data_dir, name)
+        os.truncate(path, os.path.getsize(path) - nbytes)
+
+    return mutate
+
+
+#: Dataset faults replayed through the CLI: mutation and the file it must be named at.
+_DATASET_FAULTS = {
+    "grid-n-empty": (_set_manifest("grid", "n", lambda old: ""), "manifest.cfg"),
+    "grid-n-nan": (_set_manifest("grid", "n", lambda old: "nan"), "manifest.cfg"),
+    "grid-n-negative": (_set_manifest("grid", "n", lambda old: "-3"), "manifest.cfg"),
+    "grid-n-text": (_set_manifest("grid", "n", lambda old: "abc"), "manifest.cfg"),
+    "weights-one-missing": (_set_manifest("frequencies", "weights", lambda old: old.split()[0]), "manifest.cfg"),
+    "omega-lo-inf": (_set_manifest("frequencies", "omega_lo", lambda old: "inf"), "manifest.cfg"),
+    "duplicate-meta": (_append("manifest.cfg", b"\n[meta]\nphantom = again\n"), "manifest.cfg"),
+    "manifest-undecodable": (_append("manifest.cfg", b"# \xff\xfe\n"), "manifest.cfg"),
+    "f64-truncated": (_truncate("u_000_c1.f64", 8), "u_000_c1.f64"),
+    "meta-deleted": (lambda data_dir: os.remove(os.path.join(data_dir, "u_000_c1.meta")), "u_000_c1.meta"),
+}
+
+
 class TestDatasetValidation:
-    """Malformed datasets are rejected where they are read, naming the file (exit 2)."""
+    """Malformed datasets are rejected where they are read, naming the file (exit 2).
+
+    The replay test also runs a diverging step size, which exits 3.
+    """
+
+    @pytest.fixture(scope="class")
+    def simulated(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("simulated")
+        cfg = RunConfig(n=17, c0=0.2, n_freq=2, refinement=1, phantom=ONE_BUMP, output_dir=str(root / "out"))
+        (root / "run.cfg").write_text(serialize_config(cfg))
+        assert main(["simulate", "--config", str(root / "run.cfg")]) == 0
+        return cfg, str(root / "out" / "dataset")
+
+    @pytest.mark.parametrize("fault", [*_DATASET_FAULTS, "mu-1e300"])
+    def test_replayed_fault_exits_2_or_3(self, simulated, tmp_path, capsys, fault):
+        # one dataset fault (exit 2, naming its file) or the diverging step size
+        # (exit 3) per case; no case may raise out of main
+        cfg, source = simulated
+        data_dir = str(tmp_path / "dataset")
+        shutil.copytree(source, data_dir)
+        path = tmp_path / "run.cfg"
+        if fault == "mu-1e300":
+            cfg = dataclasses.replace(cfg, mu=1e300, max_iters=2, stop_tol=0.0)
+            commands, code, named = ["reconstruct"], 3, "diverged"
+        else:
+            mutate, name = _DATASET_FAULTS[fault]
+            mutate(data_dir)
+            commands, code, named = ["init-guess", "reconstruct", "check-gradient"], 2, os.path.join(data_dir, name)
+        path.write_text(serialize_config(dataclasses.replace(cfg, output_dir=str(tmp_path / "out"))))
+        capsys.readouterr()
+        for command in commands:
+            assert main([command, "--config", str(path), "--data", data_dir]) == code, command
+            assert named in capsys.readouterr().err, command
+        assert not os.path.exists(tmp_path / "out")
 
     @pytest.fixture()
     def dataset(self, tmp_path):
@@ -270,7 +355,7 @@ class TestDatasetValidation:
     def test_non_finite_values(self, dataset, capsys):
         path, data_dir = dataset
         base = os.path.join(data_dir, "u_000_c2")
-        u, _ = read_field(base)
+        u = read_field(base)
         u[8, 8] = np.nan
         write_field(base, u, build_grid(17, 0.2))
         self._rejects(path, data_dir, "u_000_c2", capsys)
@@ -278,7 +363,7 @@ class TestDatasetValidation:
     def test_boundary_traces_differ_between_frequencies(self, dataset, capsys):
         path, data_dir = dataset
         base = os.path.join(data_dir, "u_001_c2")
-        u, _ = read_field(base)
+        u = read_field(base)
         u[0, 5] += 0.01
         write_field(base, u, build_grid(17, 0.2))
         self._rejects(path, data_dir, "u_001_c2", capsys)
@@ -703,7 +788,7 @@ class TestCli:
         assert main(["simulate", "--config", str(path)]) == 0
         data_dir = str(tmp_path / "out" / "dataset")
         assert main(["init-guess", "--config", str(path), "--data", data_dir]) == 0
-        sigma, _ = read_field(str(tmp_path / "out" / "sigma_init"))
+        sigma = read_field(str(tmp_path / "out" / "sigma_init"))
         assert sigma.shape == (17, 17)
 
     def test_diverging_reconstruct_exits_3(self, tmp_path, capsys):
@@ -718,6 +803,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "diverged" in err and "(Landweber iteration 1)" in err
         assert not os.path.exists(tmp_path / "out" / "trajectory.csv")
+
+    @pytest.mark.parametrize("mu, iteration", [(100.0, 2), (5.0, 3)])
+    def test_rising_misfit_exits_3(self, tmp_path, capsys, mu, iteration):
+        # the automatic mu is about 1.35; at these, J rises above its first
+        # value (to 2.1e-2 at iteration 2 for mu = 100, 3.3e-4 at 3 for mu = 5)
+        cfg = RunConfig(n=17, c0=0.2, n_freq=3, refinement=1,
+                        phantom=PhantomSpec([Inclusion(0.5, 0.5, 0.15, 0.5, -0.3)]), mu=mu, max_iters=4,
+                        stop_tol=0.0, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "run.cfg"
+        path.write_text(serialize_config(cfg))
+        assert main(["simulate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(path), "--data", str(tmp_path / "out" / "dataset")]) == 3
+        err = capsys.readouterr().err
+        assert "exceeds the first step's 1.107078e-04" in err and f"(Landweber iteration {iteration})" in err
+        assert sorted(os.listdir(tmp_path / "out")) == ["dataset"]
 
     def test_reconstruct_reuses_start_factorizations(self, tmp_path, monkeypatch):
         # factorizations: coverage 1 + step-size estimate 9 + 9 per step

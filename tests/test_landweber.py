@@ -312,6 +312,26 @@ class TestGenericEngine:
         (rec,) = excinfo.value.trajectory
         assert rec.step_norm == pytest.approx(math.sqrt(5) * 1e100) and math.isfinite(rec.err_to_truth)
 
+    @pytest.mark.parametrize("mu, raises", [(3.0, True), (2.0, False)])
+    def test_misfit_above_the_first_raises(self, mu, raises):
+        # x_k - b = (1 - mu)(x_{k-1} - b): J grows fourfold per step at mu = 3
+        # and stays at its first value at mu = 2, which does not exceed it
+        b = np.ones(5)
+        problem = GenericProblem(
+            residuals=lambda x: [x - b],
+            adjoint_step=lambda res: res[0],
+            misfit=lambda res: 0.5 * float(res[0] @ res[0]),
+        )
+        cfg = LandweberConfig(mu=mu, max_iters=5, stop_tol=0.0)
+        if not raises:
+            _, recs = generic_run(problem, np.zeros(5), cfg)
+            assert [r.J for r in recs] == [2.5] * 5
+            return
+        with pytest.raises(SolverError, match="exceeds the first step's") as excinfo:
+            generic_run(problem, np.zeros(5), cfg)
+        assert excinfo.value.iteration == 2
+        assert [r.J for r in excinfo.value.trajectory] == [2.5, 10.0]
+
     @pytest.mark.parametrize("stop_tol", [0.0, 1e-3, 1e-8])
     def test_stops_after_first_small_step(self, stop_tol):
         problem, x_star, mu, _ = linear_oracle()
