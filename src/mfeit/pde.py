@@ -69,17 +69,11 @@ potentials, residuals and adjoint states shape (2, n, n), one per
 boundary-trace component, so a forward, adjoint or linearized solve passes
 its pair straight to ``solve_dirichlet`` as one 2-column right-hand side.
 
-``map_frequencies`` is the one frequency pool.  With ``MFEIT_THREADS`` =
-T > 1, item i of a per-frequency loop of N items runs on the (i mod W)-th
-of W = min(T, N) single-thread workers that live for the process; with
-T = 1 the items run inline.  Every loaded OpenBLAS is held at one thread
-while a loop runs, so pool threads and BLAS threads do not oversubscribe
-the cores and results are bit-identical for every T.  The pool lives here
-because it shares one rule with the factorization: a SuperLU factor is
-destroyed on the thread that made it.  scipy returns a factor's memory
-only on that thread, so a factor made on a worker and dropped on the main
-thread would leak; ``EllipticOperator.factorization`` hands each factor a
-worker makes back to that worker when its operator dies.
+``map_frequencies`` runs every per-frequency loop, in order on the
+calling thread, with every loaded OpenBLAS held at one thread, so results
+do not depend on OpenBLAS's thread count.  Every factor is therefore made
+and freed on one thread, as scipy requires: it returns a SuperLU factor's
+memory only when the factor is freed on the thread that made it.
 """
 from __future__ import annotations
 
@@ -90,9 +84,6 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-import threading
-import weakref
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,21 +104,12 @@ SWEEP_STEPS = 24
 #: orthogonalization is below this fraction of its block's largest column.
 DEFLATION_TOL = 1e-14
 
-#: Environment variable selecting the thread count of ``map_frequencies``.
-THREADS_ENV = "MFEIT_THREADS"
-
 #: (getter, setter) names of the OpenBLAS thread count, one pair per build.
 _BLAS_SYMBOLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
 )
-
-#: ``executor`` is set on each pool worker thread to the executor that owns it.
-_worker = threading.local()
-#: The frequency pool's single-thread executors, in start order; ``_workers`` grows it.
-_pool: list[ThreadPoolExecutor] = []
-_pool_lock = threading.Lock()
 
 
 def _scipy_extension(name: str):
@@ -270,24 +252,22 @@ class EllipticOperator:
     block_data: np.ndarray
     coupling_data: np.ndarray
     norm: float
-    _lu: list = field(default_factory=list, repr=False)
+    _lu: object = field(default=None, repr=False)
 
     def factorization(self):
-        """``factor`` of the interior block, looked up when first needed.
+        """``factor`` of the interior block, made on first use and kept with the operator.
 
-        A factor made on a ``map_frequencies`` worker is destroyed on that
-        worker when the operator is, whichever thread drops the operator.
+        The factor is freed with the operator.  scipy returns its memory only
+        on the thread that made it, so an operator is dropped on the thread
+        that factored it.
         """
-        if not self._lu:
+        if self._lu is None:
             pat = operator_pattern(self.grid.n)
             try:
-                self._lu.append(factor(self.block_data, pat.block_indices, pat.block_indptr))
+                self._lu = factor(self.block_data, pat.block_indices, pat.block_indptr)
             except RuntimeError as exc:  # singular or breakdown
                 raise SolverError(f"sparse factorization failed at omega={self.omega:g}: {exc}") from exc
-            owner = getattr(_worker, "executor", None)
-            if owner is not None:
-                weakref.finalize(self, _release, owner, self._lu).atexit = False
-        return self._lu[0]
+        return self._lu
 
 
 def factor(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
@@ -303,31 +283,6 @@ def factor(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
     return _superlu.gstrf(
         len(indptr) - 1, len(data), data, indices, indptr, csc_construct_func=None, ilu=False, options=options
     )
-
-
-def _release(owner: ThreadPoolExecutor, holder: list) -> None:
-    """Empty ``holder`` on the thread of the single-thread executor ``owner``.
-
-    On that thread it is emptied at once: a release queued behind the
-    worker's remaining tasks would keep the factor alive until they finish.
-    """
-    if getattr(_worker, "executor", None) is owner:
-        holder.clear()
-        return
-    try:
-        owner.submit(holder.clear)
-    except RuntimeError:  # interpreter shutdown: the worker takes no more work
-        pass
-
-
-def _workers(count: int) -> list[ThreadPoolExecutor]:
-    """The first ``count`` single-thread executors of the pool, starting those it lacks."""
-    with _pool_lock:
-        while len(_pool) < count:
-            w = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mfeit-freq")
-            w.submit(setattr, _worker, "executor", w).result()
-            _pool.append(w)
-        return _pool[:count]
 
 
 @functools.lru_cache(maxsize=None)
@@ -379,37 +334,13 @@ def blas_one_thread():
 
 
 def map_frequencies(fn, items) -> list:
-    """Apply ``fn`` to each per-frequency item; results come back in input order.
+    """``[fn(x) for x in items]``, run in order on the calling thread with every OpenBLAS held at one thread.
 
-    The thread count is read from ``MFEIT_THREADS`` (default 1) and must be
-    a positive integer; anything else raises a ValueError naming the
-    variable.  With one thread, or when called from a pool worker, the
-    items run inline on the calling thread.  With T threads and N items,
-    item i runs on the (i mod W)-th of W = min(T, N) single-thread workers:
-    the first W of one pool that lives for the process and starts a worker
-    only when a loop first needs it.  Each factorization a task makes is
-    destroyed on its worker (see ``EllipticOperator.factorization``).
-    Either way every loaded OpenBLAS is held at one thread for the call
-    (``blas_one_thread``), so the pool does not oversubscribe the cores and
-    results do not depend on the thread count.  Every task finishes before
-    the first failure, in input order, is raised.
+    Each per-frequency loop goes through here, so its bits do not depend on
+    OpenBLAS's thread count (``blas_one_thread``).
     """
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        nthreads = int(raw)
-    except ValueError:
-        nthreads = 0
-    if nthreads < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    items = list(items)
     with blas_one_thread():
-        # On a worker, a call runs inline: waiting on its own worker would deadlock.
-        if nthreads == 1 or len(items) <= 1 or hasattr(_worker, "executor"):
-            return [fn(x) for x in items]
-        workers = _workers(min(nthreads, len(items)))
-        futures = [workers[i % len(workers)].submit(fn, x) for i, x in enumerate(items)]
-        wait(futures)
-        return [f.result() for f in futures]
+        return [fn(x) for x in items]
 
 
 def assemble(grid: Grid, x: np.ndarray, omega: float) -> EllipticOperator:
@@ -631,10 +562,10 @@ def solve_frequencies(grid: Grid, x: np.ndarray, omegas, bc: np.ndarray, finish=
     SWEEP_STEPS steps falls back to ``solve_dirichlet``, after the sweep's
     factor and basis are gone.
 
-    The sweep runs on the calling thread with every OpenBLAS held at one
-    thread, and its factor is made and dropped there; the fallbacks go
-    through ``map_frequencies``.  The shift and the steps do not depend on
-    ``MFEIT_THREADS``, so neither do the results.  For the two-bump
+    The sweep and its fallbacks (through ``map_frequencies``) run on the
+    calling thread with every OpenBLAS held at one thread, so the results
+    do not depend on OpenBLAS's thread count, and each factor is made and
+    dropped on that thread.  For the two-bump
     phantom at 9 frequencies in [1, 2], every frequency passes after 10
     steps on the 65 x 65, 129 x 129 and 257 x 257 grids, and the states lie
     within 8e-13 of fresh factored ones, relative to their largest entry.
@@ -784,7 +715,7 @@ def solve_poisson(grid: Grid, rhs: np.ndarray, bc: np.ndarray) -> np.ndarray:
     factorization is made: the operator's factor is a ``_SineSolver``.
     """
     op = assemble(grid, constant_field(grid, 1.0, 1.0), 0.0)
-    op._lu.append(_SineSolver(_poisson_eigenvalues(op)))
+    op._lu = _SineSolver(_poisson_eigenvalues(op))
     return solve_dirichlet(op, bc, rhs)
 
 

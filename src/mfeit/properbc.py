@@ -48,8 +48,8 @@ def coverage_lambda(grid: Grid, x: np.ndarray, freqs: FrequencyGrid, phi: np.nda
     The states at every frequency come from one shifted Krylov sweep of
     ``solve_frequencies``, on a single factorization: each state passes
     SWEEP_RTOL on the system of ``assemble`` at its own frequency, and a
-    frequency that misses it falls back to ``solve_dirichlet`` through the
-    frequency pool.  Only each state's (n, n) determinant map is kept.
+    frequency that misses it falls back to ``solve_dirichlet``.  Only each
+    state's (n, n) determinant map is kept.
     Solver failures at any frequency propagate; no node of the quadrature
     is silently skipped.
     """

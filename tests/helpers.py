@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -350,3 +351,14 @@ def write_field_csv_per_node(path: str, values: np.ndarray, grid: Grid) -> None:
             for j in range(grid.n):
                 x, y = grid.xs[i], grid.xs[j]
                 fh.write(f"{i},{j},{fmt(float(x))},{fmt(float(y))},{fmt(float(values[i, j]))}\n")
+
+
+def tree_bytes(root) -> dict[str, bytes]:
+    """Every file under ``root``: its path relative to ``root`` (POSIX form) mapped to its bytes."""
+    root = Path(root)
+    return {f.relative_to(root).as_posix(): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+def differing_paths(a: dict[str, bytes], b: dict[str, bytes]) -> list[str]:
+    """The paths of two ``tree_bytes`` trees whose files differ or exist in only one, sorted."""
+    return sorted(p for p in a.keys() | b.keys() if a.get(p) != b.get(p))

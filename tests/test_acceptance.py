@@ -32,7 +32,15 @@ from mfeit.phantom import make_phantom, synthesize_data
 from mfeit.properbc import canonical_phi, coverage_lambda, det_gradient_map
 from mfeit.fieldio import read_field
 
-from helpers import TWO_BUMPS, h2_proxy_norm_sq, linear_oracle, pairing_dF_route, rel_interior_err
+from helpers import (
+    TWO_BUMPS,
+    differing_paths,
+    h2_proxy_norm_sq,
+    linear_oracle,
+    pairing_dF_route,
+    rel_interior_err,
+    tree_bytes,
+)
 
 
 def _report(name: str, detail: str) -> None:
@@ -292,19 +300,6 @@ def test_criterion_8_empirical_coercivity():
 def test_criterion_9_determinism(e2e_outputs):
     root, first, _ = e2e_outputs
     second = _run_pipeline(root, "run2")
-
-    def tree_bytes(base):
-        out = {}
-        for dirpath, _, files in os.walk(base):
-            for name in files:
-                full = os.path.join(dirpath, name)
-                rel = os.path.relpath(full, base)
-                with open(full, "rb") as fh:
-                    out[rel] = fh.read()
-        return out
-
     a, b = tree_bytes(first), tree_bytes(second)
-    assert set(a) == set(b)
-    mismatched = [name for name in a if a[name] != b[name]]
-    assert mismatched == []
+    assert differing_paths(a, b) == []
     _report("criterion 9 (determinism)", f"{len(a)} output files byte-identical across reruns")

@@ -29,7 +29,7 @@ from mfeit import pde
 from mfeit.pde import blas_thread_controls, map_frequencies
 from mfeit.phantom import add_noise, make_phantom, phantom_id, synthesize_data
 
-from helpers import ONE_BUMP, TWO_BUMPS, CountingLU, write_field_csv_per_node
+from helpers import ONE_BUMP, TWO_BUMPS, CountingLU, differing_paths, tree_bytes, write_field_csv_per_node
 
 
 class TestMakePhantom:
@@ -687,8 +687,7 @@ def _run_outcome(text: str, root) -> tuple:
         mp.chdir(root)
         codes = tuple(main(argv + ["--config", str(path)])
                       for argv in (["simulate"], ["coverage"], ["reconstruct", "--data", data]))
-    files = {f.relative_to(root): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
-    return codes, files
+    return codes, tree_bytes(root)
 
 
 class TestEveryKeyIsLive:
@@ -700,7 +699,9 @@ class TestEveryKeyIsLive:
         outcome = _run_outcome(_LIVE_BASE, root / "base")
         assert outcome[0] == (0, 0, 0)
         # a rerun matches, so a difference below comes from the key
-        assert _run_outcome(_LIVE_BASE, root / "rerun") == outcome
+        codes, files = _run_outcome(_LIVE_BASE, root / "rerun")
+        assert codes == outcome[0]
+        assert differing_paths(files, outcome[1]) == []
         return outcome
 
     @pytest.mark.parametrize("section, key", [(s, k) for s, keys in _SCHEMA.items() for k in keys])
@@ -911,55 +912,53 @@ class TestCli:
                         stop_tol=0.0, lambda_min=0.0, output_dir=str(tmp_path / "out"))
         path = tmp_path / "run.cfg"
         path.write_text(serialize_config(cfg))
-        monkeypatch.setenv("MFEIT_THREADS", "2")
         monkeypatch.setattr(pde, "factor", lambda *a, **k: Tracked(factor(*a, **k)))
 
-        def settle():
+        def assert_made_and_freed_here():
             gc.collect()
-            map_frequencies(lambda k: k, range(2))  # one task per worker, queued after every release
+            assert set(made.values()) == {threading.get_ident()}
+            assert freed == made
 
-        # simulate's sweep factors on the main thread and frees its factor there
+        # simulate's sweep makes one factor
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
-        settle()
-        assert len(made) == 1 and set(made.values()) == {threading.get_ident()}
-        assert freed == made
+        assert len(made) == 1
+        assert_made_and_freed_here()
         # a one-step sweep hands every frequency but the mid-band one, which
-        # that step solves exactly, to the workers
+        # that step solves exactly, to solve_dirichlet
         monkeypatch.setattr(pde, "SWEEP_STEPS", 1)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "fallback")]) == 0
-        settle()
         assert len(made) == 2 + 8
-        assert len(set(made.values())) == 3
-        assert freed == made
+        assert_made_and_freed_here()
         assert main(["reconstruct", "--config", str(path)]) == 0
-        settle()
         assert len(made) > 20
-        assert freed == made
-        assert len(set(made.values())) == 3  # the main thread and both workers made factors
+        assert_made_and_freed_here()
 
-    def test_outputs_do_not_depend_on_thread_count(self, tmp_path, monkeypatch):
+    def test_outputs_do_not_depend_on_thread_count(self, tmp_path):
         # refinement 2 synthesizes at n=129, where OpenBLAS's own threads engage
         controls = blas_thread_controls()
         found = [get() for get, _ in controls]
         trees = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("MFEIT_THREADS", threads)
-            out = tmp_path / f"t{threads}"
-            cfg = RunConfig(n=65, refinement=2, phantom=TWO_BUMPS, max_iters=3, stop_tol=0.0,
-                            output_dir=str(out))
-            path = tmp_path / f"t{threads}.cfg"
-            path.write_text(serialize_config(cfg))
-            assert main(["simulate", "--config", str(path), "--out", str(out / "sim")]) == 0
-            assert main(["reconstruct", "--config", str(path), "--out", str(out / "rec")]) == 0
-            assert main(["coverage", "--config", str(path), "--out", str(out / "cov")]) == 0
-            trees.append({
-                p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
-            })
-            held = map_frequencies(lambda k: [get() for get, _ in controls], range(2))
-            assert held == [[1] * len(controls)] * 2
-            assert [get() for get, _ in controls] == found
+        try:
+            for threads in (1, 2):
+                for _, set_ in controls:
+                    set_(threads)
+                out = tmp_path / f"t{threads}"
+                cfg = RunConfig(n=65, refinement=2, phantom=TWO_BUMPS, max_iters=3, stop_tol=0.0,
+                                output_dir=str(out))
+                path = tmp_path / f"t{threads}.cfg"
+                path.write_text(serialize_config(cfg))
+                assert main(["simulate", "--config", str(path), "--out", str(out / "sim")]) == 0
+                assert main(["reconstruct", "--config", str(path), "--out", str(out / "rec")]) == 0
+                assert main(["coverage", "--config", str(path), "--out", str(out / "cov")]) == 0
+                trees.append(tree_bytes(out))
+                held = map_frequencies(lambda k: [get() for get, _ in controls], range(2))
+                assert held == [[1] * len(controls)] * 2
+                assert [get() for get, _ in controls] == [threads] * len(controls)
+        finally:
+            for (_, set_), count in zip(controls, found):
+                set_(count)
         assert len(trees[0]) > 10
-        assert trees[0] == trees[1]
+        assert differing_paths(*trees) == []
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -12,7 +12,7 @@ from mfeit.objective import (
     random_smooth_pair,
     residual_norm_sq,
 )
-from mfeit.pde import assemble, constant_field, map_frequencies, solve_dirichlet
+from mfeit.pde import assemble, constant_field, solve_dirichlet
 from mfeit.phantom import add_noise, make_phantom, synthesize_data
 from mfeit.admissible import project_T
 
@@ -234,46 +234,3 @@ class TestGradient:
             um = solve_dirichlet(assemble(data.grid, truth33, -omega), phi)
             assert np.max(np.abs(um[0] - np.conj(up[0]))) < 1e-12
             assert np.max(np.abs(um[1] - np.conj(up[1]))) < 1e-12
-
-    def test_threaded_frequency_loop_bitwise_identical(self, data33, monkeypatch):
-        # the per-frequency map collects results in input order, so the
-        # reduction is deterministic regardless of the thread count
-        data, _ = data33
-        a = constant_field(data.grid, 1.0, 1.0)
-        serial = gradient_DJ(a, data)
-        monkeypatch.setenv("MFEIT_THREADS", "4")
-        threaded = gradient_DJ(a, data)
-        assert np.array_equal(serial[0], threaded[0])
-        assert np.array_equal(serial[1], threaded[1])
-
-    def test_nested_frequency_loop_runs_inline(self, monkeypatch):
-        # a task that maps again must not wait on the worker it occupies
-        import threading
-
-        monkeypatch.setenv("MFEIT_THREADS", "2")
-        out = []
-        outer = threading.Thread(
-            target=lambda: out.append(map_frequencies(lambda k: map_frequencies(lambda j: (k, j), range(2)), range(2))),
-            daemon=True,
-        )
-        outer.start()
-        outer.join(timeout=60)
-        assert not outer.is_alive()
-        assert out == [[[(0, 0), (0, 1)], [(1, 0), (1, 1)]]]
-
-    def test_pool_starts_no_more_workers_than_items(self, monkeypatch):
-        # 16 threads on 3 items: only workers an item runs on may start
-        import threading
-
-        monkeypatch.setenv("MFEIT_THREADS", "16")
-        before = set(threading.enumerate())
-        ran = map_frequencies(lambda k: threading.current_thread(), range(3))
-        assert len(set(ran)) == 3 and all(t.name.startswith("mfeit-freq") for t in ran)
-        started = [t for t in set(threading.enumerate()) - before if t.name.startswith("mfeit-freq")]
-        assert len(started) <= 3
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_invalid_thread_count_names_variable(self, monkeypatch, value):
-        monkeypatch.setenv("MFEIT_THREADS", value)
-        with pytest.raises(ValueError, match="MFEIT_THREADS"):
-            map_frequencies(lambda k: k, range(3))

@@ -106,9 +106,8 @@ def test_coverage_matches_per_frequency_loop():
 
 def test_coverage_fallback_matches_per_frequency_loop(monkeypatch):
     # After one Krylov step only the mid-band frequency, the sweep's shift,
-    # passes; the other 8 fall back to solve_dirichlet on the pool.
+    # passes; the other 8 fall back to solve_dirichlet.
     monkeypatch.setattr(pde, "SWEEP_STEPS", 1)
-    monkeypatch.setenv("MFEIT_THREADS", "2")
     made = []
     factor = pde.factor
     monkeypatch.setattr(pde, "factor", lambda *a, **k: made.append(1) or factor(*a, **k))
