@@ -29,7 +29,7 @@ import numpy as np
 from .admissible import AdmissibleParams, project_T
 from .mesh import Grid, div, grad
 from .objective import Dataset
-from .pde import map_frequencies, solve_poisson
+from .pde import solve_poisson
 
 logger = logging.getLogger(__name__)
 
@@ -121,7 +121,7 @@ def compute_gammas(data: Dataset, sigma0: float, eps0: float) -> list[np.ndarray
     """
     grid = data.grid
     omegas = [float(w) for w in data.freqs.nodes]
-    rhs = map_frequencies(lambda u: gamma_rhs(grid, u), data.potentials)
+    rhs = [gamma_rhs(grid, u) for u in data.potentials]
     nb = len(grid.boundary_index)
     bc = np.stack([np.full(nb, cmath.log(sigma0 + 1j * w * eps0), dtype=complex) for w in omegas])
     gammas = []

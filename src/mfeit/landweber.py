@@ -37,7 +37,7 @@ from .objective import (
     misfit_from_states,
     random_smooth_pair,
 )
-from .pde import SolverError, blas_one_thread
+from .pde import SolverError
 
 logger = logging.getLogger(__name__)
 
@@ -130,9 +130,7 @@ def estimate_step_size(grid: Grid, states: list[ForwardState]) -> float:
     tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
     lam = float("nan")
     if np.all(np.isfinite(tri)):
-        # LAPACK on one thread, so the estimate has the same bits at every thread count
-        with blas_one_thread():
-            lam = float(np.linalg.eigvalsh(tri)[-1])
+        lam = float(np.linalg.eigvalsh(tri)[-1])
     logger.info("step-size estimate: Ritz value %.6e after %d normal-operator applications", lam, len(alpha))
     if not (lam > 0.0 and math.isfinite(lam)):
         raise SolverError(f"Lanczos failed to produce a positive norm estimate (got {lam!r})")
@@ -230,7 +228,10 @@ def generic_run(
     step, and ``stop_tol = 0`` never fires.  Returns the projection of the
     final iterate together with the full trajectory.  A step whose ``J``
     exceeds the first step's has diverged too: a run that ends worse than
-    it began is no answer, so SolverError is raised.  On solver failure
+    it began is no answer, so SolverError is raised.  Its advice depends on
+    the step: one longer than the step before overshoots, so mu should
+    shrink; one shorter means the projection's smoothing outweighs a step
+    that small, so mu should grow.  On solver failure
     inside the loop, a diverged iterate included (see ``step``), the
     partial trajectory and the failing iteration are attached to the
     raised error.
@@ -252,9 +253,12 @@ def generic_run(
             rec.n = it
             records.append(rec)
             if rec.J > records[0].J:
+                advice = "try a smaller mu"
+                if rec.step_norm <= records[-2].step_norm:
+                    advice = ("J rose while the steps shrank: the projection's smoothing outweighs steps this small; "
+                              "try a larger mu or mu = auto")
                 raise SolverError(
-                    f"the iteration diverged: J = {rec.J:.6e} exceeds the first step's {records[0].J:.6e}; "
-                    "try a smaller mu"
+                    f"the iteration diverged: J = {rec.J:.6e} exceeds the first step's {records[0].J:.6e}; {advice}"
                 )
             if it % LOG_EVERY == 0:
                 logger.info(

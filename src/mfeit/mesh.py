@@ -129,8 +129,7 @@ def build_grid(n: int, c0: float) -> Grid:
 
 def refine_grid(grid: Grid, factor: int) -> Grid:
     """Grid with spacing ``h/factor`` whose nodes contain the original ones."""
-    if factor < 1:
-        raise ValueError(f"refinement factor must be >= 1, got {factor}")
+    require_int("refinement factor", factor, 1)
     return build_grid(factor * (grid.n - 1) + 1, grid.c0)
 
 

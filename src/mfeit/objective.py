@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Grid, face_diff_x, face_diff_y, h1_norm_sq, laplacian, require_int
-from .pde import EllipticOperator, apply_div_coeff_grad, assemble, map_frequencies, solve_dirichlet
+from .pde import EllipticOperator, apply_div_coeff_grad, assemble, solve_dirichlet
 
 
 @dataclass
@@ -178,7 +178,7 @@ def forward_states(x: np.ndarray, data: Dataset) -> list[ForwardState]:
         u = solve_dirichlet(op, phi)
         return ForwardState(float(data.freqs.weights[k]), op, u, u - data.potentials[k])
 
-    return map_frequencies(one, range(data.freqs.nodes.size))
+    return [one(k) for k in range(data.freqs.nodes.size)]
 
 
 def misfit_from_states(states: list[ForwardState]) -> float:
@@ -230,7 +230,7 @@ def reduce_densities(grid: Grid, states: list[ForwardState], adjoint_of) -> np.n
     expansion of the complex coefficient perturbation); both are truncated
     to the interior region where perturbations live.
     """
-    densities = map_frequencies(lambda s: face_density(grid, s.u, adjoint_of(s)), states)
+    densities = [face_density(grid, s.u, adjoint_of(s)) for s in states]
     g = np.zeros((2,) + grid.shape)
     for s, dens in zip(states, densities):
         g[0] += s.weight * dens.real

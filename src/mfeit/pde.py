@@ -69,11 +69,15 @@ potentials, residuals and adjoint states shape (2, n, n), one per
 boundary-trace component, so a forward, adjoint or linearized solve passes
 its pair straight to ``solve_dirichlet`` as one 2-column right-hand side.
 
-``map_frequencies`` runs every per-frequency loop, in order on the
-calling thread, with every loaded OpenBLAS held at one thread, so results
-do not depend on OpenBLAS's thread count.  Every factor is therefore made
-and freed on one thread, as scipy requires: it returns a SuperLU factor's
-memory only when the factor is freed on the thread that made it.
+Every solve holds every loaded OpenBLAS at one thread (``blas_one_thread``):
+``solve_dirichlet`` for its whole body, its factorization included, and
+``solve_frequencies`` around the shifted sweep.  Every forward, adjoint,
+linearized and Poisson solve goes through one of the two, so results do
+not depend on OpenBLAS's thread count, and this module is the only one
+that sets it.  Loops over frequencies run in order on the calling thread,
+so each factor is made and freed on one thread, as scipy requires: it
+returns a SuperLU factor's memory only when the factor is freed on the
+thread that made it.
 """
 from __future__ import annotations
 
@@ -333,16 +337,6 @@ def blas_one_thread():
             set_(count)
 
 
-def map_frequencies(fn, items) -> list:
-    """``[fn(x) for x in items]``, run in order on the calling thread with every OpenBLAS held at one thread.
-
-    Each per-frequency loop goes through here, so its bits do not depend on
-    OpenBLAS's thread count (``blas_one_thread``).
-    """
-    with blas_one_thread():
-        return [fn(x) for x in items]
-
-
 def assemble(grid: Grid, x: np.ndarray, omega: float) -> EllipticOperator:
     """Assemble ``div((sigma + i*omega*eps) grad(.))`` with Dirichlet rows.
 
@@ -490,6 +484,7 @@ def _interior_rhs(op: EllipticOperator, bc, src) -> tuple:
     return bc, b, norm_bc, norm_b
 
 
+@blas_one_thread()
 def solve_dirichlet(
     op: EllipticOperator, bc: np.ndarray, src: np.ndarray | None = None
 ) -> np.ndarray:
@@ -508,7 +503,9 @@ def solve_dirichlet(
     tolerance, as it does for any LU with a small backward error.  Only on
     a miss does a refinement sweep correct ``x_I`` by the factored solve of
     ``c - A_II x_I``; after two sweeps that still miss, a SolverError
-    reports the worst column's residual.
+    reports the worst column's residual.  The whole call, the
+    factorization included, runs with every OpenBLAS held at one thread,
+    so its bits do not depend on OpenBLAS's thread count.
 
     A call costs little more than its triangular solve and one ``A_II``
     product: the interior moves in and out by slicing, the columns reach
@@ -562,10 +559,10 @@ def solve_frequencies(grid: Grid, x: np.ndarray, omegas, bc: np.ndarray, finish=
     SWEEP_STEPS steps falls back to ``solve_dirichlet``, after the sweep's
     factor and basis are gone.
 
-    The sweep and its fallbacks (through ``map_frequencies``) run on the
-    calling thread with every OpenBLAS held at one thread, so the results
-    do not depend on OpenBLAS's thread count, and each factor is made and
-    dropped on that thread.  For the two-bump
+    The sweep, like each ``solve_dirichlet`` fallback, runs on the calling
+    thread with every OpenBLAS held at one thread, so the results do not
+    depend on OpenBLAS's thread count, and each factor is made and dropped
+    on that thread.  For the two-bump
     phantom at 9 frequencies in [1, 2], every frequency passes after 10
     steps on the 65 x 65, 129 x 129 and 257 x 257 grids, and the states lie
     within 8e-13 of fresh factored ones, relative to their largest entry.
@@ -582,10 +579,8 @@ def solve_frequencies(grid: Grid, x: np.ndarray, omegas, bc: np.ndarray, finish=
         return []
     with blas_one_thread():
         states = _shifted_sweep(grid, np.asarray(x, dtype=float), omegas, bc, finish)
-    missed = [k for k in range(len(omegas)) if k not in states]
-    fresh = map_frequencies(lambda w: finish(solve_dirichlet(assemble(grid, x, w), bc)), [omegas[k] for k in missed])
-    states.update(zip(missed, fresh))
-    return [states[k] for k in range(len(omegas))]
+    return [states[k] if k in states else finish(solve_dirichlet(assemble(grid, x, w), bc))
+            for k, w in enumerate(omegas)]
 
 
 def _shifted_sweep(grid: Grid, x: np.ndarray, omegas: list, bc: np.ndarray, finish) -> dict:

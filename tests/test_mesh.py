@@ -51,6 +51,13 @@ def test_refine_and_restrict_roundtrip():
     assert np.array_equal(f_coarse, np.sin(g.X) * g.Y)
 
 
+@pytest.mark.parametrize("factor", [0, True, 2.0])
+def test_refine_grid_rejects_a_bad_factor_by_name(factor):
+    # True would pass as 1 and 2.0 would fail later as "grid size n ... got 33.0"
+    with pytest.raises(ValueError, match="refinement factor"):
+        refine_grid(build_grid(17, 0.2), factor)
+
+
 def test_grad_exact_on_linear_and_constant():
     g = build_grid(17, 0.3)
     gx = grad(g, g.X)

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 
@@ -7,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from mfeit import pde
 from mfeit.mesh import build_grid, l2_norm_sq
-from mfeit.objective import adjoint_rhs, random_smooth_pair, solve_adjoint
+from mfeit.objective import adjoint_rhs, dF, random_smooth_pair, solve_adjoint
 from mfeit.pde import (
     SOLVE_RTOL,
     apply_div_coeff_grad,
@@ -744,3 +745,63 @@ def test_sweep_holds_blas_at_one_thread(two_bumps33, monkeypatch):
     assert len(seen) >= 1 + len(NINE)
     assert all(counts == [1] * len(controls) for counts in seen)
     assert after == [2] * len(controls)
+
+
+def test_solve_holds_blas_at_one_thread(two_bumps33, monkeypatch):
+    # the hold covers the whole solve, the factorization included
+    g, a, phi = two_bumps33
+    controls = blas_thread_controls()
+    seen = []
+    factor = pde.factor
+    monkeypatch.setattr(pde, "factor", lambda *args: seen.append([get() for get, _ in controls]) or factor(*args))
+    found = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    try:
+        solve_dirichlet(assemble(g, a, 1.5), phi)
+        after = [get() for get, _ in controls]
+    finally:
+        for (_, set_), count in zip(controls, found):
+            set_(count)
+    assert seen == [[1] * len(controls)]
+    assert after == [2] * len(controls)
+
+
+def test_direct_solves_do_not_depend_on_thread_count():
+    # at n=129 OpenBLAS's own threads engage in SuperLU's dense kernels
+    g = build_grid(129, 0.2)
+    a = np.stack(make_phantom(TWO_BUMPS, g, AdmissibleParams()))
+    phi = canonical_phi(g)
+    d = random_smooth_pair(g, np.random.default_rng(0))
+    controls = blas_thread_controls()
+    found = [get() for get, _ in controls]
+    results = []
+    try:
+        for threads in (1, 2):
+            for _, set_ in controls:
+                set_(threads)
+            op = assemble(g, a, 1.5)  # a fresh factorization at each thread count
+            u = solve_dirichlet(op, phi)
+            lin = dF(op, d, u)
+            results.append([_bits(v) for v in (u, lin, solve_adjoint(op, lin))])
+    finally:
+        for (_, set_), count in zip(controls, found):
+            set_(count)
+    for one, two in zip(*results):
+        assert np.array_equal(one, two)
+
+
+def test_only_pde_holds_openblas():
+    # the thread count of OpenBLAS is set in one module only
+    names = {"blas_one_thread", "blas_thread_controls", "ctypes"}
+    src = os.path.dirname(pde.__file__)
+    holders = set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                # names, attributes, imports and definitions
+                if {getattr(node, key, None) for key in ("id", "attr", "name", "asname")} & names:
+                    holders.add(name)
+    assert holders == {"pde.py"}
